@@ -1,23 +1,17 @@
-"""Ablation — the race detector costs nothing when not attached.
+"""Ablation — attaching the race detector never changes a simulation.
 
 The dynamic race layer (`src/repro/check/races.py`) rides the same
 observer hooks the sanitizer uses: the event bus, the spin-lock
-observer list, and the TLB/MMU mutation observer slots.  All of those
-are a single attribute load plus a ``None``/empty check on the hot
-path, so a detector-off run must stay within the repo's existing
-overhead budget against a baseline that predates the hooks — which we
-approximate by comparing detector-off and detector-on builds of the
-same workload.
+observer list, and the TLB/MMU mutation observer slots.
 
 Two measurements, one JSON artifact:
 
-* **Perturbation** (simulated time): attaching the detector must not
-  change any simulated outcome — identical protocol counters and
-  user/system times, zero race reports on the clean tree.
-* **Overhead** (CPU time, best-of-N, interleaved): host CPU seconds
-  per run with and without the detector attached.  The detector-off
-  run is the gate (it is what every non-CI user pays); the detector-on
-  delta is recorded for information.
+* **Perturbation** (simulated time, asserted): attaching the detector
+  must not change any simulated outcome — identical protocol counters
+  and user/system times, zero race reports on the clean tree.
+* **Overhead** (CPU time, best-of-N, interleaved, recorded for
+  information only): host CPU seconds per run with and without the
+  detector attached.  No assertion checks host time.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from conftest import once, save_artifact
 
 N_PROCESSORS = 4
 TIMING_REPS = 15
-OVERHEAD_BUDGET = 0.05
 
 
 def build_and_run(with_detector=False):
@@ -99,11 +92,10 @@ def test_detector_off_overhead(benchmark):
     assert detector.reports == []
     assert detector.accesses > 0  # it really watched the run
 
-    # The gate: a detector-off run carries only dormant hooks, and must
-    # sit inside the repo's standing overhead budget.  We gate against
-    # the detector-on wall because both walls come from the same build;
-    # if dormant hooks ever grew a real cost, off_wall would rise and
-    # show up in the recorded artifact history.
+    # Host-time overhead is recorded for information only; nothing here
+    # gates on it.  Both timings come from the same build, so a dormant
+    # hook that grew a real cost would show up as a rising off-time in
+    # the artifact history.
     overhead = on_wall / off_wall - 1.0
     artifact = {
         "t": "bench_races",
@@ -113,7 +105,6 @@ def test_detector_off_overhead(benchmark):
         "detector_off_cpu_s": round(off_wall, 6),
         "detector_on_cpu_s": round(on_wall, 6),
         "detector_on_overhead_fraction": round(overhead, 4),
-        "overhead_budget": OVERHEAD_BUDGET,
         "races_reported": detector.reported,
         "accesses_observed": detector.accesses,
         "numa_stats": baseline_stats,

@@ -8,13 +8,12 @@ paper reports, with the published numbers alongside for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis import model as eqs
 from repro.analysis.paper import TABLE_3, TABLE_4
-from repro.sim.harness import PlacementMeasurement, measure_placement
+from repro.sim.harness import PlacementMeasurement
 from repro.workloads import TABLE_4_WORKLOADS
-from repro.workloads.base import Workload
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,11 @@ def _row_from_measurement(
 
 
 def run_evaluation(
-    workloads: Optional[Dict[str, Callable[[], Workload]]] = None,
+    *,
+    apps: Optional[Sequence[str]] = None,
     n_processors: int = 7,
     threshold: int = 4,
     check_invariants: bool = False,
-    *,
-    apps: Optional[Sequence[str]] = None,
     quick: bool = False,
     jobs: int = 1,
     cache=None,
@@ -93,64 +91,46 @@ def run_evaluation(
     Invariant checking is off by default here purely for speed; the test
     suite runs the same workloads with it on.
 
-    With ``workloads=None`` (the CLI's path) the evaluation is expressed
-    as a declarative :func:`~repro.exp.grid.table3_grid` and executed by
-    the batch orchestrator, which unlocks ``jobs`` worker processes, the
-    on-disk result ``cache``, and ``batch_*`` telemetry
+    The evaluation is expressed as a declarative
+    :func:`~repro.exp.grid.table3_grid` and executed by the batch
+    orchestrator, which unlocks ``jobs`` worker processes, the on-disk
+    result ``cache``, and ``batch_*`` telemetry
     (``registry``/``bus``/``progress`` pass straight through to
     :func:`~repro.exp.batch.run_batch`).  ``apps`` restricts the grid
-    and ``quick`` selects the scaled-down workload instances.  Passing
-    an explicit ``workloads`` dict (custom factories the registries
-    cannot rebuild) keeps the classic in-process loop; the two paths
-    produce identical measurements because both execute the exact
-    :func:`~repro.exp.grid.placement_specs` triple.
+    and ``quick`` selects the scaled-down workload instances.
     """
-    if workloads is None:
-        from repro.exp.batch import run_batch
-        from repro.exp.grid import flatten, table3_grid
+    from repro.exp.batch import run_batch
+    from repro.exp.grid import flatten, table3_grid
 
-        groups = table3_grid(
-            apps=apps,
-            n_processors=n_processors,
-            threshold=threshold,
-            quick=quick,
-            check_invariants=check_invariants,
-        )
-        batch = run_batch(
-            flatten(groups),
-            jobs=jobs,
-            cache=cache,
-            registry=registry,
-            bus=bus,
-            progress=progress,
-        )
-        rows = []
-        for index, group in enumerate(groups):
-            tnuma, tglobal, tlocal = (
-                row.outcome.result
-                for row in batch.rows[3 * index: 3 * index + 3]
-            )
-            measurement = PlacementMeasurement(
-                workload=group.application,
-                g_over_l=group.tnuma.resolve_workload().g_over_l,
-                numa=tnuma,
-                all_global=tglobal,
-                local=tlocal,
-            )
-            rows.append(_row_from_measurement(group.application, measurement))
-        return Evaluation(
-            rows=rows, n_processors=n_processors, threshold=threshold
-        )
-
+    groups = table3_grid(
+        apps=apps,
+        n_processors=n_processors,
+        threshold=threshold,
+        quick=quick,
+        check_invariants=check_invariants,
+    )
+    batch = run_batch(
+        flatten(groups),
+        jobs=jobs,
+        cache=cache,
+        registry=registry,
+        bus=bus,
+        progress=progress,
+    )
     rows = []
-    for name, factory in workloads.items():
-        measurement = measure_placement(
-            factory(),
-            n_processors=n_processors,
-            threshold=threshold,
-            check_invariants=check_invariants,
+    for index, group in enumerate(groups):
+        tnuma, tglobal, tlocal = (
+            row.outcome.result
+            for row in batch.rows[3 * index: 3 * index + 3]
         )
-        rows.append(_row_from_measurement(name, measurement))
+        measurement = PlacementMeasurement(
+            workload=group.application,
+            g_over_l=group.tnuma.resolve_workload().g_over_l,
+            numa=tnuma,
+            all_global=tglobal,
+            local=tlocal,
+        )
+        rows.append(_row_from_measurement(group.application, measurement))
     return Evaluation(rows=rows, n_processors=n_processors, threshold=threshold)
 
 

@@ -587,7 +587,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     deterministic backoff (``--max-attempts``), hung workers are bounded
     by ``--timeout``, and a spec that exhausts its attempts is
     quarantined (exit 1) instead of sinking the grid — ``--strict``
-    restores the legacy first-failure-raises contract.  Every cached
+    restores the strict first-failure-raises contract.  Every cached
     batch also appends a crash-safe journal beside the cache directory;
     after a hard kill, ``--resume`` rebuilds the batch from the journal
     and re-runs it, serving everything that completed from the cache.
@@ -1264,7 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--strict",
                 action="store_true",
-                help="legacy contract: one attempt per spec, first "
+                help="strict contract: one attempt per spec, first "
                      "failure aborts the batch (exit 2)",
             )
             sub.add_argument(

@@ -15,7 +15,7 @@ Fault tolerance is layered on without changing the happy path:
 
 * a :class:`~repro.exp.supervise.SupervisorPolicy` bounds worker
   failures (timeout, retry with deterministic backoff, quarantine,
-  pool recycle, serial fallback) — ``policy=None`` keeps the legacy
+  pool recycle, serial fallback) — ``policy=None`` keeps the
   strict contract where the first failure raises;
 * a :class:`~repro.exp.journal.BatchJournal` WAL makes the batch itself
   crash-safe — :func:`resume_batch` rebuilds the spec list from the
@@ -259,7 +259,7 @@ def run_batch(
     Only fully declarative specs are cached — a spec that cannot be
     rebuilt from registries alone has no trustworthy identity.
 
-    ``policy=None`` preserves the legacy strict contract (one attempt,
+    ``policy=None`` uses the strict contract (one attempt,
     first failure raises).  A resilient policy adds retry, timeout,
     quarantine, and pool-recycle behaviour; a :class:`BatchJournal`
     additionally makes the batch crash-safe (see :func:`resume_batch`).

@@ -1,20 +1,23 @@
-"""Execute spec lists — serially, or fanned out across worker processes.
+"""Worker-side helpers for fanning spec lists out across processes.
 
 The simulations of a sweep are independent, deterministic, and
 CPU-bound, which makes them ideal :mod:`concurrent.futures` fan-out
-material.  :class:`ParallelRunner` marshals each unique
-:class:`~repro.exp.spec.RunSpec` to a worker as its canonical key dict,
-executes it there with **no** instance overrides (so the result depends
-on nothing but the spec), and marshals the outcome back as its
-:meth:`~repro.exp.spec.Outcome.as_dict` view — both directions are
-plain dicts of primitives, so the round trip is deterministic and the
-parallel results are value-identical to a serial run.
+material.  :class:`~repro.exp.supervise.SupervisedRunner` marshals each
+unique :class:`~repro.exp.spec.RunSpec` to a worker as its canonical key
+dict; :func:`execute_payload` executes it there with **no** instance
+overrides (so the result depends on nothing but the spec) and marshals
+the outcome back as its :meth:`~repro.exp.spec.Outcome.as_dict` view —
+both directions are plain dicts of primitives, so the round trip is
+deterministic and the parallel results are value-identical to a serial
+run.
 
 ``jobs=1`` never touches a process pool: it executes in-process on
 exactly the code path :meth:`RunSpec.execute` always takes, so serial
 batches are bit-identical to calling the classic drivers directly.
 
-Scheduling details that matter for wall-clock:
+Scheduling details that matter for wall-clock (implemented by
+:class:`~repro.exp.supervise.SupervisedRunner` and
+:func:`~repro.exp.batch.run_batch`):
 
 * duplicate specs (a threshold sweep shares its Tlocal baseline across
   thresholds) are executed once and fanned back out to every position;
@@ -28,13 +31,9 @@ Scheduling details that matter for wall-clock:
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Dict
 
-from repro.errors import SimulationError
-from repro.exp.spec import Outcome, RunSpec
-
-if TYPE_CHECKING:
-    from repro.exp.supervise import SupervisorPolicy, SuperviseStats
+from repro.exp.spec import RunSpec
 
 #: Rough relative wall-clock weight per workload (measured once on the
 #: full-scale Table 3 matrix); only the *ordering* matters, for
@@ -88,83 +87,3 @@ def warm_worker() -> None:
 def default_jobs() -> int:
     """A sensible ``--jobs`` default: the machine's CPU count."""
     return max(1, os.cpu_count() or 1)
-
-
-class ParallelRunner:
-    """Run specs with bounded process-pool fan-out (or serially).
-
-    Since the supervision layer landed, this class is a thin facade
-    over :class:`~repro.exp.supervise.SupervisedRunner` with the
-    **strict** policy: one attempt per spec, first failure raises — the
-    original contract every existing caller and test relies on.  Pass a
-    resilient :class:`~repro.exp.supervise.SupervisorPolicy` (or use
-    :func:`~repro.exp.batch.run_batch`, which defaults to one) to get
-    retries, timeouts, quarantine, and pool recycling.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        max_inflight_factor: int = 2,
-        policy: Optional["SupervisorPolicy"] = None,
-    ) -> None:
-        if jobs < 1:
-            raise SimulationError(f"jobs must be >= 1, got {jobs}")
-        from repro.exp.supervise import SupervisorPolicy
-
-        self.jobs = jobs
-        self.policy = (
-            policy if policy is not None else SupervisorPolicy.strict()
-        )
-        self._max_inflight_factor = max_inflight_factor
-        #: Supervision stats from the most recent :meth:`run`.
-        self.stats: Optional["SuperviseStats"] = None
-        #: Fingerprint → reason for specs the last run quarantined
-        #: (always empty under the strict default, which raises instead).
-        self.quarantined: Dict[str, str] = {}
-
-    def run(
-        self,
-        specs: Sequence[RunSpec],
-        on_result: Optional[Callable[[RunSpec, Outcome], None]] = None,
-    ) -> List[Outcome]:
-        """Execute *specs*; returns outcomes aligned with the input order.
-
-        Duplicate specs (same fingerprint) execute once.  ``on_result``
-        fires once per *unique* spec as its outcome lands (in completion
-        order) — the batch layer uses it for cache writes and progress.
-
-        Under a non-strict policy a quarantined spec has no outcome, so
-        an aligned list cannot be built; this facade raises in that case
-        (orchestration that tolerates holes uses
-        :class:`~repro.exp.supervise.SupervisedRunner` directly).
-        """
-        from repro.exp.supervise import SupervisedRunner
-
-        order: List[str] = []
-        unique: Dict[str, RunSpec] = {}
-        for spec in specs:
-            fp = spec.fingerprint()
-            order.append(fp)
-            if fp not in unique:
-                unique[fp] = spec
-        runner = SupervisedRunner(
-            jobs=self.jobs,
-            policy=self.policy,
-            max_inflight_factor=self._max_inflight_factor,
-        )
-        outcomes, quarantined, stats = runner.run(
-            list(unique.items()), on_result
-        )
-        self.stats = stats
-        self.quarantined = dict(quarantined)
-        if quarantined:
-            worst = sorted(quarantined.items())
-            detail = "; ".join(
-                f"{fp[:12]}: {reason}" for fp, reason in worst[:3]
-            )
-            raise SimulationError(
-                f"{len(quarantined)} spec(s) quarantined after "
-                f"{self.policy.max_attempts} attempts ({detail})"
-            )
-        return [outcomes[fp] for fp in order]

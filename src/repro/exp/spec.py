@@ -9,8 +9,8 @@ result's identity: :meth:`RunSpec.fingerprint` is a stable SHA-256 over
 the spec's canonical JSON, the same in every process and on every
 machine, which is what lets the on-disk
 :class:`~repro.exp.cache.ResultCache` recognize work it has already
-done and the :class:`~repro.exp.runner.ParallelRunner` marshal specs to
-worker processes and results back without ambiguity.
+done and the :class:`~repro.exp.supervise.SupervisedRunner` marshal
+specs to worker processes and results back without ambiguity.
 
 ``RunSpec.run()`` is the single front door for executing a simulation:
 :func:`repro.sim.harness.run_once`, :func:`repro.sim.mix.run_mix` and
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.policies import DEFAULT_MOVE_THRESHOLD
-from repro.core.policies.registry import POLICY_ENTRIES, build_policy
+from repro.core.policies.registry import build_policy
 from repro.core.policy import NUMAPolicy
 from repro.errors import ConfigurationError
 from repro.machine.config import MachineConfig, ace_config
@@ -43,13 +43,6 @@ from repro.workloads.base import Workload
 #: simulator alters what an identical spec would compute, so stale cache
 #: entries (keyed by fingerprint) can never be returned for new code.
 SPEC_SCHEMA = "repro-exp/v1"
-
-#: Declarative policy registry: spec ``policy`` name →
-#: :class:`~repro.core.policies.registry.PolicyEntry`.  Entries are
-#: callable as ``entry(threshold)`` (the historical factory shape);
-#: parameterized construction goes through :func:`resolve_policy` /
-#: :func:`repro.core.policies.registry.build_policy`.
-POLICY_REGISTRY = POLICY_ENTRIES
 
 #: Pair-tuple type for the frozen dict-like fields.
 Pairs = Tuple[Tuple[str, object], ...]
@@ -121,7 +114,8 @@ class RunSpec:
     workload_params: Pairs = ()
     #: Use the scaled-down ``.small()`` instance (the CLI's ``--quick``).
     quick: bool = False
-    #: Policy registry name (see POLICY_REGISTRY).
+    #: Policy registry name (see
+    #: :data:`repro.core.policies.registry.POLICY_ENTRIES`).
     policy: str = "move-threshold"
     #: Move threshold for policies that take one (the paper's boot-time
     #: parameter; ignored by the baselines).

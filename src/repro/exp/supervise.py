@@ -1,7 +1,7 @@
 """Supervised spec execution: timeouts, retries, quarantine, recycle.
 
-:class:`~repro.exp.runner.ParallelRunner` trusts its workers; this
-module does not.  :class:`SupervisedRunner` executes a deduplicated spec
+Worker processes can hang, crash or fail; this module does not trust
+them.  :class:`SupervisedRunner` executes a deduplicated spec
 list under a :class:`SupervisorPolicy` that bounds every failure mode a
 long sweep actually hits:
 
@@ -30,9 +30,8 @@ worker actions (kill/hang) are decided per ``(fingerprint, attempt)`` at
 submission and executed by the worker itself, and are therefore exactly
 as deterministic as the supervision they exercise.
 
-``SupervisorPolicy.strict()`` reproduces the legacy runner contract —
-one attempt, first failure raises — which is what keeps this layer a
-pure superset of the old ``_run_pool``.
+``SupervisorPolicy.strict()`` is the strict contract — one attempt,
+first failure raises — and :func:`~repro.exp.batch.run_batch`'s default.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ class SupervisorPolicy:
     #: Clamp jobs to the host's cores, and degrade to in-process serial
     #: execution when the pool keeps dying.
     auto_serial: bool = True
-    #: Legacy contract: first failure raises instead of retrying.
+    #: Strict contract: first failure raises instead of retrying.
     raise_on_failure: bool = False
     #: Harness-chaos schedule to run under (tests/benches/CI only).
     chaos: Optional[HarnessChaosPlan] = None
@@ -132,7 +131,7 @@ class SupervisorPolicy:
 
     @classmethod
     def strict(cls, auto_serial: bool = True) -> "SupervisorPolicy":
-        """The legacy runner contract: one attempt, failures raise."""
+        """The strict contract: one attempt, failures raise."""
         return cls(
             max_attempts=1,
             raise_on_failure=True,
@@ -208,7 +207,6 @@ class SupervisedRunner:
     The input is the deduplicated ``(fingerprint, spec)`` list; the
     output is ``(outcomes, quarantined, stats)``.  Alignment with a
     caller's duplicate-bearing spec list is the caller's job (see
-    :class:`~repro.exp.runner.ParallelRunner` and
     :func:`~repro.exp.batch.run_batch`).
     """
 

@@ -8,7 +8,7 @@ entirely when nobody is listening (the common case for the paper-scale
 runs, where telemetry must not slow the simulator down).
 
 Observers are duck-typed: subscribe any object and it receives exactly
-the hooks it defines.  The legacy
+the hooks it defines.  The
 :class:`~repro.sim.engine.EngineObserver` protocol (``on_reference`` and
 ``on_fault``) is a strict subset, so existing observers such as
 :class:`~repro.analysis.tracing.TraceCollector` subscribe unchanged.

@@ -55,7 +55,7 @@ def write_csv(
     file loads directly into spreadsheet tools.
     """
     path = pathlib.Path(path)
-    flat = [_flatten(record) for record in records]
+    flat = [flatten_record(record) for record in records]
     if columns is None:
         seen: Dict[str, None] = {}
         for record in flat:
@@ -91,10 +91,6 @@ def flatten_record(record: Record, prefix: str = "") -> Record:
         else:
             out[name] = value
     return out
-
-
-#: Backwards-compatible alias (pre-reporting-layer private name).
-_flatten = flatten_record
 
 
 def human_summary(records: Sequence[Record]) -> str:

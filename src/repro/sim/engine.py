@@ -25,11 +25,10 @@ splitting them exactly where the unbatched simulator would have faulted.
 
 Observation is fanned out through an :class:`~repro.obs.events.EventBus`:
 any number of observers (trace collectors, metrics, samplers) subscribe
-to the engine's bus, and the legacy single ``observer=`` kwarg is adapted
-onto the bus for compatibility.  When a :class:`PhaseProfiler` is
-installed, the engine times its own wall-clock hot phases — fault
-handling, policy ticks, and reference batches; neither the bus nor the
-profiler ever charges simulated time.
+to the engine's bus through :meth:`Engine.add_observer`.  When a
+:class:`PhaseProfiler` is installed, the engine times its own wall-clock
+hot phases — fault handling, policy ticks, and reference batches;
+neither the bus nor the profiler ever charges simulated time.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ class Engine:
         fault_handler: FaultHandler,
         scheduler: Scheduler,
         unix_master: Optional[UnixMaster] = None,
-        observer: Optional[EngineObserver] = None,
         policy_tick_ops: int = 256,
         extra_handlers: Optional[Dict[int, FaultHandler]] = None,
         bus: Optional[EventBus] = None,
@@ -112,10 +110,6 @@ class Engine:
         self._scheduler = scheduler
         self._unix_master = unix_master or UnixMaster(master_cpu=0)
         self._bus = bus if bus is not None else EventBus()
-        if observer is not None:
-            # Legacy single-observer path: adapt it onto the bus so old
-            # callers compose with new telemetry unchanged.
-            self._bus.subscribe(observer)
         self._profiler = profiler
         self._injector = None
         self._pump_pending = False

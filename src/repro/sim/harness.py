@@ -13,16 +13,14 @@ Both drivers are thin shims over the declarative
 :class:`~repro.exp.spec.RunSpec` front door (they construct a spec and
 execute it with their in-memory workload/policy instances), so every run
 — direct, swept, or batched through :mod:`repro.exp` — takes the same
-build/execute/collect path.  Their parameters are keyword-only going
-forward; positional use beyond ``(workload, policy)`` still works but
-raises a :class:`DeprecationWarning`.
+build/execute/collect path.  Every parameter after ``(workload,
+policy)`` is keyword-only.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
@@ -83,8 +81,8 @@ def build_simulation(
 ) -> Simulation:
     """Assemble machine, VM, NUMA layer, and threads for one run.
 
-    ``observer`` (the legacy single slot) and ``telemetry`` compose:
-    both end up subscribed to the engine's event bus.  ``injector``
+    ``observer`` and ``telemetry`` compose: both end up subscribed to
+    the engine's event bus.  ``injector``
     wires a :class:`~repro.faults.injector.FaultInjector` into the NUMA
     manager's hot paths and the engine's policy tick (chaos runs).
     ``fast_path=False`` disables the engine's software-TLB fast path
@@ -132,9 +130,10 @@ def build_simulation(
         fault_handler,
         scheduler,
         unix_master=unix_master,
-        observer=observer,
         fast_path=fast_path,
     )
+    if observer is not None:
+        engine.add_observer(observer)
     numa.bus = engine.bus
     if injector is not None:
         injector.bind(machine, engine.bus)
@@ -203,114 +202,45 @@ def collect_result(sim: Simulation, rounds: int) -> RunResult:
     )
 
 
-def merge_legacy_positionals(
-    func_name: str,
-    n_leading: int,
-    accepted: Sequence[str],
-    legacy: Tuple[object, ...],
-    kwargs: Dict[str, object],
-) -> Dict[str, object]:
-    """Fold deprecated positional arguments into a keyword dictionary.
-
-    The harness drivers accept only their leading arguments positionally
-    (``workload`` and, where applicable, ``policy``); everything else is
-    keyword-only going forward.  Old call sites that passed more
-    positionals keep working, but get a :class:`DeprecationWarning`
-    naming the keywords to migrate to.
-    """
-    if not legacy:
-        return kwargs
-    if len(legacy) > len(accepted):
-        raise TypeError(
-            f"{func_name}() takes at most {n_leading + len(accepted)} "
-            f"positional arguments ({n_leading + len(legacy)} given)"
-        )
-    names = list(accepted[: len(legacy)])
-    warnings.warn(
-        f"passing {func_name}() arguments beyond the first {n_leading} "
-        f"positionally is deprecated; pass {', '.join(names)} by keyword",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    merged = dict(kwargs)
-    for name, value in zip(accepted, legacy):
-        if name in merged:
-            raise TypeError(
-                f"{func_name}() got multiple values for argument {name!r}"
-            )
-        merged[name] = value
-    return merged
-
-
-#: Deprecated positional order of :func:`run_once` beyond (workload, policy).
-_RUN_ONCE_ORDER = (
-    "n_processors",
-    "n_threads",
-    "machine_config",
-    "scheduler_factory",
-    "unix_master",
-    "observer",
-    "check_invariants",
-    "telemetry",
-    "fast_path",
-)
-
-
-_RUN_ONCE_DEFAULTS: Dict[str, object] = {
-    "n_processors": 7,
-    "n_threads": None,
-    "machine_config": None,
-    "scheduler_factory": None,
-    "unix_master": None,
-    "observer": None,
-    "check_invariants": True,
-    "telemetry": None,
-    "fast_path": True,
-}
-
-
-def run_once(workload: Workload, policy: NUMAPolicy, *legacy, **kwargs) -> RunResult:
+def run_once(
+    workload: Workload,
+    policy: NUMAPolicy,
+    *,
+    n_processors: int = 7,
+    n_threads: Optional[int] = None,
+    machine_config: Optional[MachineConfig] = None,
+    scheduler_factory: Optional[SchedulerFactory] = None,
+    unix_master: Optional[UnixMaster] = None,
+    observer: Optional[EngineObserver] = None,
+    check_invariants: bool = True,
+    telemetry: Optional[Telemetry] = None,
+    fast_path: bool = True,
+) -> RunResult:
     """Run *workload* under *policy* and collect the result.
 
     A thin shim over :class:`repro.exp.spec.RunSpec` — the spec is the
     single front door for executing simulations; this keeps the classic
     call shape while routing through the same path the experiment
-    orchestrator uses.  Keyword parameters (all optional):
-    ``n_processors`` (7), ``n_threads``, ``machine_config``,
-    ``scheduler_factory``, ``unix_master``, ``observer``,
-    ``check_invariants`` (True), ``telemetry``, ``fast_path`` (True).
-    They are keyword-only going forward; positional use beyond
-    ``(workload, policy)`` is deprecated.
+    orchestrator uses.
     """
-    kwargs = merge_legacy_positionals(
-        "run_once", 2, _RUN_ONCE_ORDER, legacy, kwargs
-    )
-    unknown = set(kwargs) - set(_RUN_ONCE_DEFAULTS)
-    if unknown:
-        raise TypeError(
-            f"run_once() got unexpected keyword arguments: {sorted(unknown)}"
-        )
-    opts = dict(_RUN_ONCE_DEFAULTS)
-    opts.update(kwargs)
-
     from repro.exp.spec import RunSpec  # deferred: exp builds on sim
 
     spec = RunSpec(
         workload=workload.name,
         policy=getattr(policy, "name", policy.__class__.__name__),
-        n_processors=opts["n_processors"],
-        n_threads=opts["n_threads"],
-        check_invariants=opts["check_invariants"],
-        fast_path=opts["fast_path"],
+        n_processors=n_processors,
+        n_threads=n_threads,
+        check_invariants=check_invariants,
+        fast_path=fast_path,
     )
     return spec.run(
         workload=workload,
         policy=policy,
-        machine_config=opts["machine_config"],
-        scheduler_factory=opts["scheduler_factory"],
-        unix_master=opts["unix_master"],
-        observer=opts["observer"],
-        telemetry=opts["telemetry"],
+        machine_config=machine_config,
+        scheduler_factory=scheduler_factory,
+        unix_master=unix_master,
+        observer=observer,
+        telemetry=telemetry,
     )
 
 
@@ -340,25 +270,15 @@ class PlacementMeasurement:
         return self.local.user_time_s
 
 
-#: Deprecated positional order of :func:`measure_placement` beyond (workload,).
-_MEASURE_ORDER = (
-    "n_processors",
-    "threshold",
-    "machine_config",
-    "check_invariants",
-    "telemetry",
-)
-
-_MEASURE_DEFAULTS: Dict[str, object] = {
-    "n_processors": 7,
-    "threshold": 4,
-    "machine_config": None,
-    "check_invariants": True,
-    "telemetry": None,
-}
-
-
-def measure_placement(workload: Workload, *legacy, **kwargs) -> PlacementMeasurement:
+def measure_placement(
+    workload: Workload,
+    *,
+    n_processors: int = 7,
+    threshold: int = 4,
+    machine_config: Optional[MachineConfig] = None,
+    check_invariants: bool = True,
+    telemetry: Optional[Telemetry] = None,
+) -> PlacementMeasurement:
     """Run the paper's three measurements for one application.
 
     ``Tlocal`` runs with one thread on a one-processor machine under the
@@ -369,36 +289,20 @@ def measure_placement(workload: Workload, *legacy, **kwargs) -> PlacementMeasure
 
     The three runs are the :func:`repro.exp.grid.placement_specs` grid
     executed in place, so a ``measure_placement`` call and a batched
-    sweep over the same application produce identical results.  Keyword
-    parameters: ``n_processors`` (7), ``threshold`` (4),
-    ``machine_config``, ``check_invariants`` (True), ``telemetry``;
-    positional use beyond ``(workload,)`` is deprecated.
+    sweep over the same application produce identical results.
     """
-    kwargs = merge_legacy_positionals(
-        "measure_placement", 1, _MEASURE_ORDER, legacy, kwargs
-    )
-    unknown = set(kwargs) - set(_MEASURE_DEFAULTS)
-    if unknown:
-        raise TypeError(
-            "measure_placement() got unexpected keyword arguments: "
-            f"{sorted(unknown)}"
-        )
-    opts = dict(_MEASURE_DEFAULTS)
-    opts.update(kwargs)
-    machine_config: Optional[MachineConfig] = opts["machine_config"]
-
     from repro.exp.grid import placement_specs  # deferred: exp builds on sim
 
     specs = placement_specs(
         workload.name,
-        n_processors=opts["n_processors"],
-        threshold=opts["threshold"],
-        check_invariants=opts["check_invariants"],
+        n_processors=n_processors,
+        threshold=threshold,
+        check_invariants=check_invariants,
     )
     numa_result = specs.tnuma.run(
         workload=workload,
         machine_config=machine_config,
-        telemetry=opts["telemetry"],
+        telemetry=telemetry,
     )
     global_result = specs.tglobal.run(
         workload=workload, machine_config=machine_config

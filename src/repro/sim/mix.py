@@ -17,8 +17,7 @@ through :func:`repro.sim.harness.run_engine`, so telemetry (profiled
 :func:`~repro.sim.harness.run_once`.  ``check_invariants`` defaults to
 ``True``, the same default as every other driver (it used to default
 off here; pass ``check_invariants=False`` explicitly for speed).
-Parameters beyond ``(workloads, policy)`` are keyword-only going
-forward; positional use is deprecated.
+Parameters beyond ``(workloads, policy)`` are keyword-only.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.machine.config import MachineConfig, ace_config
 from repro.machine.machine import Machine
 from repro.obs.telemetry import Telemetry
 from repro.sim.engine import Engine
-from repro.sim.harness import merge_legacy_positionals, run_engine
+from repro.sim.harness import run_engine
 from repro.threads.cthreads import CThread
 from repro.threads.scheduler import AffinityScheduler
 from repro.vm.address_space import AddressSpace
@@ -170,46 +169,29 @@ def build_mix_simulation(
     )
 
 
-#: Deprecated positional order of :func:`run_mix` beyond (workloads, policy).
-_RUN_MIX_ORDER = ("n_processors", "machine_config", "check_invariants")
-
-_RUN_MIX_DEFAULTS: Dict[str, object] = {
-    "n_processors": 7,
-    "machine_config": None,
-    "check_invariants": True,
-    "telemetry": None,
-}
-
-
-def run_mix(workloads: List[Workload], policy: NUMAPolicy, *legacy, **kwargs) -> MixResult:
+def run_mix(
+    workloads: List[Workload],
+    policy: NUMAPolicy,
+    *,
+    n_processors: int = 7,
+    machine_config: Optional[MachineConfig] = None,
+    check_invariants: bool = True,
+    telemetry: Optional[Telemetry] = None,
+) -> MixResult:
     """Run several applications concurrently on one machine.
 
-    Keyword parameters: ``n_processors`` (7), ``machine_config``,
-    ``check_invariants`` (True — unified with :func:`~repro.sim.
-    harness.run_once`; this driver historically defaulted it off), and
-    ``telemetry``.  Positional use beyond ``(workloads, policy)`` is
-    deprecated.
+    ``check_invariants`` defaults to True, as in :func:`~repro.sim.
+    harness.run_once` (this driver historically defaulted it off).
     """
-    kwargs = merge_legacy_positionals(
-        "run_mix", 2, _RUN_MIX_ORDER, legacy, kwargs
-    )
-    unknown = set(kwargs) - set(_RUN_MIX_DEFAULTS)
-    if unknown:
-        raise TypeError(
-            f"run_mix() got unexpected keyword arguments: {sorted(unknown)}"
-        )
-    opts = dict(_RUN_MIX_DEFAULTS)
-    opts.update(kwargs)
-
     sim = build_mix_simulation(
         workloads,
         policy,
-        n_processors=opts["n_processors"],
-        machine_config=opts["machine_config"],
-        check_invariants=opts["check_invariants"],
-        telemetry=opts["telemetry"],
+        n_processors=n_processors,
+        machine_config=machine_config,
+        check_invariants=check_invariants,
+        telemetry=telemetry,
     )
-    rounds = run_engine(sim.engine, sim.threads, opts["telemetry"])
+    rounds = run_engine(sim.engine, sim.threads, telemetry)
     tasks = [
         TaskResult(
             task=task_id,

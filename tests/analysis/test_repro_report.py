@@ -1,19 +1,32 @@
-"""The one-shot reproduction report."""
+"""The one-shot reproduction report, rendered from a filled cache."""
 
 import pytest
 
-from repro.analysis.repro_report import generate_report, write_report
-from repro.workloads import small_workloads
+from repro.analysis.cachereport import CacheDataset
+from repro.analysis.repro_report import generate_cache_report
+from repro.exp import ResultCache, flatten, run_batch, table3_grid
+
+
+def cached_report(cache_dir, apps, n_processors):
+    """Fill *cache_dir* with the apps' Table 3 triples, then render."""
+    run_batch(
+        flatten(
+            table3_grid(apps=apps, n_processors=n_processors, quick=True)
+        ),
+        cache=ResultCache(cache_dir),
+    )
+    return generate_cache_report(
+        CacheDataset.load(cache_dir),
+        apps=apps,
+        n_processors=n_processors,
+        quick=True,
+    )
 
 
 @pytest.fixture(scope="module")
-def report_text():
-    workloads = {
-        name: (lambda wl=wl: wl)
-        for name, wl in small_workloads().items()
-        if name in ("ParMult", "IMatMult")
-    }
-    return generate_report(workloads, n_processors=3)
+def report_text(tmp_path_factory):
+    cache_dir = tmp_path_factory.mktemp("report-cache")
+    return cached_report(cache_dir, ["ParMult", "IMatMult"], 3).document
 
 
 class TestGenerateReport:
@@ -46,13 +59,9 @@ class TestGenerateReport:
         assert "SOSP '89" in report_text
 
     def test_write_report(self, tmp_path):
-        workloads = {
-            name: (lambda wl=wl: wl)
-            for name, wl in small_workloads().items()
-            if name == "ParMult"
-        }
-        path = write_report(
-            tmp_path / "REPORT.md", workloads, n_processors=2
-        )
-        assert path.exists()
+        bundle = cached_report(tmp_path / "cache", ["ParMult"], 2)
+        path = tmp_path / "REPORT.md"
+        path.write_text(bundle.document)
         assert "# Reproduction report" in path.read_text()
+        assert bundle.join.missing == []
+        assert bundle.executed == 0

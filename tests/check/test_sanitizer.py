@@ -68,24 +68,27 @@ class TestCleanWorkloadRun:
         try:
             sim.engine.run(sim.threads)
         finally:
-            from repro.threads.spinlock import set_lock_observer
+            from repro.threads.spinlock import remove_lock_observer
 
-            set_lock_observer(None)
+            remove_lock_observer(sanitizer)
+            remove_lock_observer(sanitizer.races)
         assert sanitizer.checks > 0
         assert sanitizer.trail()[-1]["t"] == "run_end"
 
     def test_harness_attaches_when_env_set(self, monkeypatch):
-        from repro.threads.spinlock import lock_observer, set_lock_observer
+        from repro.threads.spinlock import lock_observers, remove_lock_observer
 
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         wl = small_workloads()["ParMult"]
+        sim = build_simulation(wl, MoveThresholdPolicy(threshold=4), 4)
         try:
-            sim = build_simulation(wl, MoveThresholdPolicy(threshold=4), 4)
-            # The harness installed the sanitizer as the lock observer.
-            assert isinstance(lock_observer(), ProtocolSanitizer)
+            # The harness installed the sanitizer as a lock observer.
+            assert isinstance(sim.sanitizer, ProtocolSanitizer)
+            assert sim.sanitizer in lock_observers()
             sim.engine.run(sim.threads)  # and the run passes its checks
         finally:
-            set_lock_observer(None)
+            remove_lock_observer(sim.sanitizer)
+            remove_lock_observer(sim.sanitizer.races)
 
 
 class TestDirectoryInvariantCheck:

@@ -15,13 +15,15 @@ from tests.conftest import make_rig
 
 
 def make_engine(rig, unix_master=None, observer=None) -> Engine:
-    return Engine(
+    engine = Engine(
         rig.machine,
         rig.faults,
         AffinityScheduler(rig.machine.n_cpus),
         unix_master=unix_master,
-        observer=observer,
     )
+    if observer is not None:
+        engine.add_observer(observer)
+    return engine
 
 
 def run(rig, bodies, **kwargs) -> Engine:

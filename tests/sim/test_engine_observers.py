@@ -1,6 +1,5 @@
-"""Engine observation: the event bus and the legacy ``observer=`` kwarg."""
+"""Engine observation: the event bus and its events."""
 
-from repro.analysis.tracing import TraceCollector
 from repro.obs.events import EventBus
 from repro.sim.engine import Engine
 from repro.sim.ops import Compute, MemBlock
@@ -35,52 +34,6 @@ class RoundWatcher:
 
     def on_run_end(self, rounds):
         self.run_end = rounds
-
-
-class TestLegacyObserverCompat:
-    """The deprecated single ``observer=`` kwarg keeps working via the bus."""
-
-    def test_legacy_observer_still_sees_references_and_faults(self):
-        rig = make_rig()
-        region = rig.space.map_object(shared_object("d", 1))
-        trace = TraceCollector()
-        run_engine(
-            rig,
-            [iter([MemBlock(region.vpage_at(0), reads=4, writes=2)])],
-            observer=trace,
-        )
-        assert len(trace.events) == 2  # one read block, one write block
-        assert len(trace.faults) >= 1
-        assert trace.events[0].reads == 4
-
-    def test_legacy_observer_lands_on_the_bus(self):
-        rig = make_rig()
-        trace = TraceCollector()
-        engine = run_engine(rig, [iter([Compute(1.0)])], observer=trace)
-        assert trace in engine.bus.observers
-
-    def test_legacy_observer_composes_with_bus_subscribers(self):
-        rig = make_rig()
-        region = rig.space.map_object(shared_object("d", 1))
-        legacy = TraceCollector()
-        second = TraceCollector()
-        engine = Engine(
-            rig.machine,
-            rig.faults,
-            AffinityScheduler(rig.machine.n_cpus),
-            observer=legacy,
-        )
-        engine.add_observer(second)
-        threads = [
-            CThread(
-                name="t0",
-                index=0,
-                body=iter([MemBlock(region.vpage_at(0), reads=3)]),
-            )
-        ]
-        engine.run(threads)
-        assert len(legacy.events) == len(second.events) == 1
-        assert legacy.events[0].reads == second.events[0].reads == 3
 
 
 class TestBusEvents:

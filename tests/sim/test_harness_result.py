@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.policies import AllGlobalPolicy, MoveThresholdPolicy
+from repro.exp.grid import placement_specs
+from repro.exp.spec import RunSpec
 from repro.machine.config import MachineConfig
 from repro.machine.timing import MemoryLocation
 from repro.sim.harness import build_simulation, measure_placement, run_once
@@ -13,6 +15,7 @@ from repro.machine.cpu import ReferenceCounters
 from repro.threads.scheduler import GlobalQueueScheduler
 from repro.workloads.base import Workload
 from repro.workloads.layout import LayoutBuilder
+from repro.workloads.parmult import ParMult
 
 
 class MiniWorkload(Workload):
@@ -76,6 +79,27 @@ class TestRunOnce:
         assert len(sim.threads) == 2
         assert sim.context.n_threads == 2
 
+    def test_matches_declarative_spec_byte_for_byte(self):
+        direct = run_once(
+            ParMult.small(), MoveThresholdPolicy(threshold=4), n_processors=2
+        )
+        spec = RunSpec(workload="ParMult", quick=True, n_processors=2)
+        assert direct.to_json() == spec.run().to_json()
+
+    def test_non_registry_policy_instances_still_run(self):
+        result = run_once(ParMult.small(), AllGlobalPolicy(), n_processors=2)
+        assert result.policy == AllGlobalPolicy().name
+
+    def test_unknown_keyword_is_an_error(self):
+        with pytest.raises(TypeError, match="surprise"):
+            run_once(MiniWorkload(), MoveThresholdPolicy(threshold=4), surprise=1)
+
+    def test_options_are_keyword_only(self):
+        with pytest.raises(TypeError, match="positional"):
+            run_once(MiniWorkload(), MoveThresholdPolicy(threshold=4), 2)
+        with pytest.raises(TypeError, match="positional"):
+            measure_placement(MiniWorkload(), 2)
+
 
 class TestMeasurePlacement:
     def test_three_runs_with_right_policies(self):
@@ -85,6 +109,21 @@ class TestMeasurePlacement:
         assert m.local.policy == "all-local"
         assert m.local.n_processors == 1
         assert m.local.n_threads == 1
+
+    def test_local_run_is_uniprocessor(self):
+        m = measure_placement(ParMult.small(), n_processors=3)
+        assert m.local.n_processors == 1
+        assert m.local.n_threads == 1
+        assert m.numa.n_processors == 3
+
+    def test_runs_the_placement_spec_triple(self):
+        m = measure_placement(ParMult.small(), n_processors=2, threshold=4)
+        specs = placement_specs(
+            "ParMult", n_processors=2, threshold=4, quick=True
+        )
+        assert m.numa.to_json() == specs.tnuma.run().to_json()
+        assert m.all_global.to_json() == specs.tglobal.run().to_json()
+        assert m.local.to_json() == specs.tlocal.run().to_json()
 
     def test_global_run_is_slowest(self):
         m = measure_placement(MiniWorkload(), n_processors=3)

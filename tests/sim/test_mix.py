@@ -39,22 +39,13 @@ class TestRunMix:
         with pytest.raises(KeyError):
             mix.task_named("nope")
 
-    def test_positional_extras_are_deprecated_but_work(self):
-        """Positional args beyond (workloads, policy) still run, with a
-        DeprecationWarning steering callers to keywords."""
-        with pytest.warns(DeprecationWarning, match="run_mix"):
-            legacy = run_mix([ParMult.small()], MoveThresholdPolicy(threshold=4), 4)
-        modern = run_mix(
-            [ParMult.small()], MoveThresholdPolicy(threshold=4), n_processors=4
-        )
-        assert legacy.total_user_us == modern.total_user_us
-        assert legacy.rounds == modern.rounds
-
     def test_invariants_checked_by_default(self):
-        """run_mix now shares run_once's check_invariants=True default."""
-        import repro.sim.mix as mix_mod
+        """run_mix shares run_once's check_invariants=True default."""
+        import inspect
 
-        assert mix_mod._RUN_MIX_DEFAULTS["check_invariants"] is True
+        param = inspect.signature(run_mix).parameters["check_invariants"]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY
+        assert param.default is True
 
     def test_same_application_twice_does_not_cross_barriers(self):
         """Two IMatMult tasks use identical barrier names; they must
