@@ -36,9 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis import model as eqs
 from repro.analysis.frames import DataTable, Row
-from repro.analysis.report import Evaluation, EvaluationRow
+from repro.analysis.report import Evaluation, EvaluationRow, evaluation_row
 from repro.analysis.versus import versus_from_table
 from repro.exp.cache import (
     CACHE_SCHEMA,
@@ -55,7 +54,6 @@ from repro.exp.grid import (
     table3_grid,
 )
 from repro.exp.spec import Outcome, RunSpec
-from repro.sim.harness import PlacementMeasurement
 
 #: Fingerprint prefix length used in human-facing footnotes; full
 #: fingerprints always travel in the ``--json`` manifest.
@@ -286,25 +284,11 @@ def evaluation_from_dataset(
         if absent:
             missing.extend(absent)
             continue
-        tnuma, tglobal, tlocal = (outcome.result for outcome in outcomes)
-        measurement = PlacementMeasurement(
-            workload=group.application,
-            g_over_l=group.tnuma.resolve_workload().g_over_l,
-            numa=tnuma,
-            all_global=tglobal,
-            local=tlocal,
-        )
-        params = eqs.solve(
-            measurement.t_global_s,
-            measurement.t_numa_s,
-            measurement.t_local_s,
-            measurement.g_over_l,
-        )
         rows.append(
-            EvaluationRow(
-                application=group.application,
-                measurement=measurement,
-                params=params,
+            evaluation_row(
+                group.application,
+                group.tnuma.resolve_workload().g_over_l,
+                [outcome.result for outcome in outcomes],
             )
         )
         complete.append(group.application)
@@ -484,20 +468,16 @@ def policy_tournament_section(
             if outcome is None:
                 absent.append(spec)
                 continue
-            measurement = PlacementMeasurement(
-                workload=tournament.application,
-                g_over_l=g_over_l,
-                numa=outcome.result,
-                all_global=tglobal.result,
-                local=tlocal.result,
+            row = evaluation_row(
+                tournament.application,
+                g_over_l,
+                [outcome.result, tglobal.result, tlocal.result],
             )
-            params = eqs.solve(
-                measurement.t_global_s,
-                measurement.t_numa_s,
-                measurement.t_local_s,
-                measurement.g_over_l,
+            solved[label] = (
+                row.params,
+                row.measurement.t_numa_s,
+                spec.fingerprint(),
             )
-            solved[label] = (params, measurement.t_numa_s, spec.fingerprint())
         if not solved:
             continue
         baseline = solved.get("move-threshold")

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis import model as eqs
+from repro.analysis.frames import DataTable
 from repro.analysis.paper import TABLE_3, TABLE_4
 from repro.sim.harness import PlacementMeasurement
+from repro.sim.result import RunResult
 from repro.workloads import TABLE_4_WORKLOADS
 
 
@@ -58,10 +60,23 @@ class Evaluation:
         raise KeyError(application)
 
 
-def _row_from_measurement(
-    name: str, measurement: PlacementMeasurement
+def evaluation_row(
+    application: str, g_over_l: float, runs: Iterable[RunResult]
 ) -> EvaluationRow:
-    """Solve the model for one application's three measured runs."""
+    """Join one application's Tnuma/Tglobal/Tlocal runs; solve the model.
+
+    The one join behind every model-solved row: :func:`run_evaluation`
+    (fresh batch results) and the cache-backed report
+    (:mod:`repro.analysis.cachereport`) build identical rows from it.
+    """
+    tnuma, tglobal, tlocal = runs
+    measurement = PlacementMeasurement(
+        workload=application,
+        g_over_l=g_over_l,
+        numa=tnuma,
+        all_global=tglobal,
+        local=tlocal,
+    )
     params = eqs.solve(
         measurement.t_global_s,
         measurement.t_numa_s,
@@ -69,7 +84,7 @@ def _row_from_measurement(
         measurement.g_over_l,
     )
     return EvaluationRow(
-        application=name, measurement=measurement, params=params
+        application=application, measurement=measurement, params=params
     )
 
 
@@ -117,40 +132,15 @@ def run_evaluation(
         bus=bus,
         progress=progress,
     )
-    rows = []
-    for index, group in enumerate(groups):
-        tnuma, tglobal, tlocal = (
-            row.outcome.result
-            for row in batch.rows[3 * index: 3 * index + 3]
+    rows = [
+        evaluation_row(
+            group.application,
+            group.tnuma.resolve_workload().g_over_l,
+            [row.outcome.result for row in batch.rows[3 * i: 3 * i + 3]],
         )
-        measurement = PlacementMeasurement(
-            workload=group.application,
-            g_over_l=group.tnuma.resolve_workload().g_over_l,
-            numa=tnuma,
-            all_global=tglobal,
-            local=tlocal,
-        )
-        rows.append(_row_from_measurement(group.application, measurement))
-    return Evaluation(rows=rows, n_processors=n_processors, threshold=threshold)
-
-
-def _format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[str]], title: str
-) -> str:
-    """Plain-text table with a title, sized to its contents."""
-    materialized = [list(headers)] + [list(r) for r in rows]
-    widths = [
-        max(len(row[col]) for row in materialized)
-        for col in range(len(headers))
+        for i, group in enumerate(groups)
     ]
-    lines = [title]
-    for index, row in enumerate(materialized):
-        lines.append(
-            "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        )
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
+    return Evaluation(rows=rows, n_processors=n_processors, threshold=threshold)
 
 
 def _fmt(value: Optional[float], digits: int = 2) -> str:
@@ -186,11 +176,9 @@ def format_table3(evaluation: Evaluation, include_paper: bool = True) -> str:
                     _fmt(paper.beta),
                     _fmt(paper.gamma),
                 ]
-        rows.append(cells)
-    return _format_table(
-        headers,
-        rows,
-        "Table 3: measured user times (simulated seconds) and model "
+        rows.append(dict(zip(headers, cells)))
+    return DataTable(rows, columns=headers).to_text(
+        title="Table 3: measured user times (simulated seconds) and model "
         f"parameters ({evaluation.n_processors} processors, threshold "
         f"{evaluation.threshold})",
     )
@@ -219,11 +207,9 @@ def format_table4(evaluation: Evaluation, include_paper: bool = True) -> str:
             cells += [
                 f"{paper.delta_over_t * 100:.1f}%" if paper else "-"
             ]
-        rows.append(cells)
-    return _format_table(
-        headers,
-        rows,
-        "Table 4: total system time (simulated seconds) on "
+        rows.append(dict(zip(headers, cells)))
+    return DataTable(rows, columns=headers).to_text(
+        title="Table 4: total system time (simulated seconds) on "
         f"{evaluation.n_processors} processors",
     )
 
@@ -239,15 +225,14 @@ def format_measured_alpha(evaluation: Evaluation) -> str:
     rows = []
     for row in evaluation.rows:
         m = row.measurement.numa
-        rows.append(
-            [
-                row.application,
-                row.params.format_alpha(),
-                "na" if m.measured_alpha is None else f"{m.measured_alpha:.2f}",
-                str(m.stats.moves),
-                str(m.stats.local_memory_fallbacks),
-            ]
-        )
-    return _format_table(
-        headers, rows, "Model-recovered vs directly measured α"
+        cells = [
+            row.application,
+            row.params.format_alpha(),
+            "na" if m.measured_alpha is None else f"{m.measured_alpha:.2f}",
+            str(m.stats.moves),
+            str(m.stats.local_memory_fallbacks),
+        ]
+        rows.append(dict(zip(headers, cells)))
+    return DataTable(rows, columns=headers).to_text(
+        title="Model-recovered vs directly measured α"
     )

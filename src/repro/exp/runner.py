@@ -4,8 +4,8 @@ The simulations of a sweep are independent, deterministic, and
 CPU-bound, which makes them ideal :mod:`concurrent.futures` fan-out
 material.  :class:`~repro.exp.supervise.SupervisedRunner` marshals each
 unique :class:`~repro.exp.spec.RunSpec` to a worker as its canonical key
-dict; :func:`execute_payload` executes it there with **no** instance
-overrides (so the result depends on nothing but the spec) and marshals
+dict; :func:`execute_payload` executes it there (the result depends on
+nothing but the spec) and marshals
 the outcome back as its :meth:`~repro.exp.spec.Outcome.as_dict` view —
 both directions are plain dicts of primitives, so the round trip is
 deterministic and the parallel results are value-identical to a serial

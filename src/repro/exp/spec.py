@@ -12,14 +12,14 @@ machine, which is what lets the on-disk
 done and the :class:`~repro.exp.supervise.SupervisedRunner` marshal
 specs to worker processes and results back without ambiguity.
 
-``RunSpec.run()`` is the single front door for executing a simulation:
-:func:`repro.sim.harness.run_once`, :func:`repro.sim.mix.run_mix` and
-:func:`repro.faults.chaos.run_chaos` are shims over the same
-build/execute/collect path.  The in-memory overrides (``workload=``,
-``policy=``, ``machine_config=`` …) keep the classic instance-passing
-drivers working: a spec executed with overrides runs exactly the same
-way but is no longer declarative, so the orchestrator only caches specs
-it built itself from registry names.
+A spec is pure data.  :meth:`RunSpec.build` resolves its registry
+names and hands them to :func:`repro.sim.harness.build_simulation`, the
+one wiring function every driver shares; :meth:`RunSpec.run` is
+``build`` → :func:`~repro.sim.harness.run_engine` →
+:func:`~repro.sim.harness.collect_result`.  Drivers that take in-memory
+workload or policy instances (``run_once``, ``run_mix``, ``run_chaos``)
+call ``build_simulation`` themselves rather than dressing the instances
+up as a spec.
 """
 
 from __future__ import annotations
@@ -278,77 +278,31 @@ class RunSpec:
 
     # -- execution -----------------------------------------------------------
 
-    def build(
-        self,
-        *,
-        workload: Optional[Workload] = None,
-        policy: Optional[NUMAPolicy] = None,
-        machine_config: Optional[MachineConfig] = None,
-        scheduler_factory=None,
-        unix_master=None,
-        observer=None,
-        telemetry=None,
-        injector=None,
-    ) -> harness.Simulation:
-        """Wire the simulation this spec describes (overrides optional)."""
+    def build(self) -> harness.Simulation:
+        """Wire the simulation this spec describes."""
         return harness.build_simulation(
-            workload if workload is not None else self.resolve_workload(),
-            policy if policy is not None else self.resolve_policy(),
+            self.resolve_workload(),
+            self.resolve_policy(),
             n_processors=self.n_processors,
             n_threads=self.n_threads,
-            machine_config=(
-                machine_config
-                if machine_config is not None
-                else self.resolve_machine_config()
-            ),
-            scheduler_factory=scheduler_factory,
-            unix_master=unix_master,
-            observer=observer,
+            machine_config=self.resolve_machine_config(),
             check_invariants=self.check_invariants,
-            telemetry=telemetry,
-            injector=injector,
             fast_path=self.fast_path,
         )
 
-    def run(
-        self,
-        *,
-        workload: Optional[Workload] = None,
-        policy: Optional[NUMAPolicy] = None,
-        machine_config: Optional[MachineConfig] = None,
-        scheduler_factory=None,
-        unix_master=None,
-        observer=None,
-        telemetry=None,
-        injector=None,
-    ) -> RunResult:
-        """Build, execute and collect one run.
-
-        Telemetry handling (the ``engine_run`` profiler span and
-        :meth:`~repro.obs.telemetry.Telemetry.finalize`) lives here, so
-        every driver that routes through a spec — including chaos and
-        mix shims — gets profiled identically.
-        """
-        sim = self.build(
-            workload=workload,
-            policy=policy,
-            machine_config=machine_config,
-            scheduler_factory=scheduler_factory,
-            unix_master=unix_master,
-            observer=observer,
-            telemetry=telemetry,
-            injector=injector,
-        )
-        rounds = harness.run_engine(sim.engine, sim.threads, telemetry)
+    def run(self) -> RunResult:
+        """Build, execute and collect one run."""
+        sim = self.build()
+        rounds = harness.run_engine(sim.engine, sim.threads)
         return harness.collect_result(sim, rounds)
 
     def execute(self) -> "Outcome":
         """Run the spec purely from its declarative fields.
 
-        This is what cache misses and pool workers execute: no instance
-        overrides, so the result depends on nothing but the spec.  Specs
-        with a fault profile run under the chaos harness (sanitizer
-        attached, recovery ledger collected) and yield a
+        This is what cache misses and pool workers execute: the result
+        depends on nothing but the spec.  Specs with a fault profile run
+        under the chaos harness (sanitizer attached, recovery ledger
+        collected) and yield a
         :class:`~repro.faults.chaos.ChaosReport`; plain specs yield a
         :class:`~repro.sim.result.RunResult`.
         """

@@ -9,18 +9,21 @@ performs the paper's full Section 3.1 methodology for one application:
 * ``Tlocal`` — a single thread on a single-processor machine, everything
   local.
 
-Both drivers are thin shims over the declarative
-:class:`~repro.exp.spec.RunSpec` front door (they construct a spec and
-execute it with their in-memory workload/policy instances), so every run
-— direct, swept, or batched through :mod:`repro.exp` — takes the same
-build/execute/collect path.  Every parameter after ``(workload,
-policy)`` is keyword-only.
+:func:`build_simulation` is the one function that wires a simulation:
+it constructs the :class:`~repro.machine.machine.Machine`, the
+:class:`~repro.core.numa_manager.NUMAManager` and the
+:class:`~repro.sim.engine.Engine` for single runs, multiprogrammed
+mixes (:func:`repro.sim.mix.run_mix`), chaos runs and declarative
+:class:`~repro.exp.spec.RunSpec` executions alike, so every capability
+it has — machine-bound policies, the sanitizer, fault injection,
+scheduler factories, the TLB fast path — reaches every driver.  Every
+driver parameter after ``(workload, policy)`` is keyword-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
@@ -42,7 +45,6 @@ from repro.vm.page_pool import PagePool
 from repro.vm.pmap import ACEPmap
 from repro.workloads.base import BuildContext, Workload
 
-PolicyFactory = Callable[[], NUMAPolicy]
 SchedulerFactory = Callable[[int], Scheduler]
 
 
@@ -54,18 +56,29 @@ class Simulation:
     numa: NUMAManager
     pool: PagePool
     pmap: ACEPmap
-    space: AddressSpace
     engine: Engine
     threads: list
-    context: BuildContext
+    #: One build context per Mach task, in task order; each carries the
+    #: task's address space and the regions its workload mapped.
+    contexts: list
     #: The ``REPRO_SANITIZE``-attached :class:`ProtocolSanitizer`, when
     #: the environment opted this process in (``None`` otherwise).
     #: Chaos runs reuse it instead of attaching a second instance.
     sanitizer: object = None
 
+    @property
+    def context(self) -> BuildContext:
+        """The first task's build context (a single run's only one)."""
+        return self.contexts[0]
+
+    @property
+    def space(self) -> AddressSpace:
+        """The first task's address space (a single run's only one)."""
+        return self.contexts[0].space
+
 
 def build_simulation(
-    workload: Workload,
+    workload: Union[Workload, Sequence[Workload]],
     policy: NUMAPolicy,
     n_processors: int = 7,
     n_threads: Optional[int] = None,
@@ -81,6 +94,12 @@ def build_simulation(
 ) -> Simulation:
     """Assemble machine, VM, NUMA layer, and threads for one run.
 
+    *workload* is one workload or a sequence of them.  Each becomes its
+    own Mach task — its own address space and fault handler, with
+    ``n_threads`` threads (default: one per processor) — while all
+    tasks share the machine, the page pool, and the NUMA manager and
+    policy, so a multiprogrammed mix is wired exactly like a single run.
+
     ``observer`` and ``telemetry`` compose: both end up subscribed to
     the engine's event bus.  ``injector``
     wires a :class:`~repro.faults.injector.FaultInjector` into the NUMA
@@ -93,6 +112,9 @@ def build_simulation(
     deliberately corrupt protocol state, use this), ``True`` always
     attaches.
     """
+    workloads = (
+        [workload] if isinstance(workload, Workload) else list(workload)
+    )
     if machine_config is None:
         machine_config = ace_config(n_processors)
     machine = Machine(machine_config)
@@ -105,21 +127,40 @@ def build_simulation(
     numa = NUMAManager(machine, policy, check_invariants=check_invariants)
     pool = PagePool(numa)
     pmap = ACEPmap(numa)
-    space = AddressSpace(name=workload.name)
-    fault_handler = FaultHandler(machine, space, pool, pmap)
     if n_threads is None:
         n_threads = machine.n_cpus
-    ctx = BuildContext(
-        space=space,
-        n_threads=n_threads,
-        n_processors=machine.n_cpus,
-        machine_config=machine_config,
-    )
-    bodies = workload.build(ctx)
-    threads = [
-        CThread(name=f"{workload.name}-{i}", index=i, body=body)
-        for i, body in enumerate(bodies)
-    ]
+    handlers: List[FaultHandler] = []
+    contexts: List[BuildContext] = []
+    threads: List[CThread] = []
+    for task, each in enumerate(workloads):
+        # Disjoint virtual ranges per task: the simulated MMUs have no
+        # address-space identifiers, so shared vpage numbers would let
+        # one task translate into another's frames.
+        space = AddressSpace(
+            name=(
+                each.name if len(workloads) == 1
+                else f"{each.name}-task{task}"
+            ),
+            first_vpage=0x100 + task * 0x100000,
+        )
+        handlers.append(FaultHandler(machine, space, pool, pmap))
+        ctx = BuildContext(
+            space=space,
+            n_threads=n_threads,
+            n_processors=machine.n_cpus,
+            machine_config=machine_config,
+        )
+        contexts.append(ctx)
+        for body in each.build(ctx):
+            index = len(threads)
+            threads.append(
+                CThread(
+                    name=f"{each.name}-{index}",
+                    index=index,
+                    body=body,
+                    task=task,
+                )
+            )
     scheduler = (
         scheduler_factory(machine.n_cpus)
         if scheduler_factory is not None
@@ -127,9 +168,10 @@ def build_simulation(
     )
     engine = Engine(
         machine,
-        fault_handler,
+        handlers[0],
         scheduler,
         unix_master=unix_master,
+        extra_handlers=dict(enumerate(handlers[1:], start=1)),
         fast_path=fast_path,
     )
     if observer is not None:
@@ -152,10 +194,9 @@ def build_simulation(
         numa=numa,
         pool=pool,
         pmap=pmap,
-        space=space,
         engine=engine,
         threads=threads,
-        context=ctx,
+        contexts=contexts,
         sanitizer=sanitizer,
     )
 
@@ -216,32 +257,21 @@ def run_once(
     telemetry: Optional[Telemetry] = None,
     fast_path: bool = True,
 ) -> RunResult:
-    """Run *workload* under *policy* and collect the result.
-
-    A thin shim over :class:`repro.exp.spec.RunSpec` — the spec is the
-    single front door for executing simulations; this keeps the classic
-    call shape while routing through the same path the experiment
-    orchestrator uses.
-    """
-    from repro.exp.spec import RunSpec  # deferred: exp builds on sim
-
-    spec = RunSpec(
-        workload=workload.name,
-        policy=getattr(policy, "name", policy.__class__.__name__),
+    """Run *workload* under *policy* and collect the result."""
+    sim = build_simulation(
+        workload,
+        policy,
         n_processors=n_processors,
         n_threads=n_threads,
-        check_invariants=check_invariants,
-        fast_path=fast_path,
-    )
-    return spec.run(
-        workload=workload,
-        policy=policy,
         machine_config=machine_config,
         scheduler_factory=scheduler_factory,
         unix_master=unix_master,
         observer=observer,
+        check_invariants=check_invariants,
         telemetry=telemetry,
+        fast_path=fast_path,
     )
+    return collect_result(sim, run_engine(sim.engine, sim.threads, telemetry))
 
 
 @dataclass(frozen=True)
@@ -287,9 +317,10 @@ def measure_placement(
     attaches to the Tnuma run only — that is the run whose dynamics the
     paper's tables describe.
 
-    The three runs are the :func:`repro.exp.grid.placement_specs` grid
-    executed in place, so a ``measure_placement`` call and a batched
-    sweep over the same application produce identical results.
+    The three configurations come from
+    :func:`repro.exp.grid.placement_specs`, so a ``measure_placement``
+    call and a batched sweep over the same application produce
+    identical results.
     """
     from repro.exp.grid import placement_specs  # deferred: exp builds on sim
 
@@ -299,25 +330,27 @@ def measure_placement(
         threshold=threshold,
         check_invariants=check_invariants,
     )
-    numa_result = specs.tnuma.run(
-        workload=workload,
-        machine_config=machine_config,
-        telemetry=telemetry,
-    )
-    global_result = specs.tglobal.run(
-        workload=workload, machine_config=machine_config
-    )
     local_config = (
         None if machine_config is None
         else machine_config.scaled(n_processors=1)
     )
-    local_result = specs.tlocal.run(
-        workload=workload, machine_config=local_config
-    )
+
+    def run(spec, config, spec_telemetry=None) -> RunResult:
+        return run_once(
+            workload,
+            spec.resolve_policy(),
+            n_processors=spec.n_processors,
+            n_threads=spec.n_threads,
+            machine_config=config,
+            check_invariants=spec.check_invariants,
+            telemetry=spec_telemetry,
+            fast_path=spec.fast_path,
+        )
+
     return PlacementMeasurement(
         workload=workload.name,
         g_over_l=workload.g_over_l,
-        numa=numa_result,
-        all_global=global_result,
-        local=local_result,
+        numa=run(specs.tnuma, machine_config, telemetry),
+        all_global=run(specs.tglobal, machine_config),
+        local=run(specs.tlocal, local_config),
     )

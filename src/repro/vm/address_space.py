@@ -81,9 +81,9 @@ class AddressSpace:
     ``first_vpage`` sets where sequential mapping starts.  The simulated
     MMUs hold one translation context per processor (no address-space
     identifiers), so concurrent tasks must occupy *disjoint* virtual
-    ranges — :func:`repro.sim.mix.run_mix` gives each task its own base,
-    standing in for the Rosetta segment-register switching a real context
-    switch performs.
+    ranges — :func:`repro.sim.harness.build_simulation` gives each task
+    its own base, standing in for the Rosetta segment-register switching
+    a real context switch performs.
     """
 
     def __init__(self, name: str = "task", first_vpage: int = 0x100) -> None:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.policies import MoveThresholdPolicy
-from repro.sim.harness import run_once
+from repro.core.policies.registry import build_policy
+from repro.sim.harness import build_simulation, run_engine, run_once
 from repro.sim.mix import run_mix
 from repro.workloads.imatmult import IMatMult
 from repro.workloads.parmult import ParMult
@@ -16,7 +17,9 @@ class TestRunMix:
             [ParMult.small()], MoveThresholdPolicy(threshold=4), n_processors=4
         )
         solo = run_once(ParMult.small(), MoveThresholdPolicy(threshold=4), n_processors=4)
-        assert mix.total_user_us == pytest.approx(solo.user_time_us)
+        assert mix.total_user_us == solo.user_time_us
+        assert mix.total_system_us == solo.system_time_us
+        assert mix.stats.as_dict() == solo.stats.as_dict()
 
     def test_task_attribution_sums_to_total(self):
         mix = run_mix(
@@ -89,34 +92,14 @@ class TestRunMix:
         """No address-space identifiers in the MMUs, so tasks must not
         collide on virtual page numbers — one task would otherwise
         translate straight into another task's frames."""
-        from repro.core.policies import MoveThresholdPolicy as MTP
-        from repro.sim.mix import run_mix as rm
-        from repro.machine.machine import Machine
-        from repro.machine.config import ace_config
-        from repro.core.numa_manager import NUMAManager
-        from repro.vm.address_space import AddressSpace
-        from repro.vm.fault import FaultHandler
-        from repro.vm.page_pool import PagePool
-        from repro.vm.pmap import ACEPmap
-        from repro.workloads.base import BuildContext
-
-        # Build two task spaces the way run_mix does and check ranges.
-        spaces = [
-            AddressSpace(name=f"t{i}", first_vpage=0x100 + i * 0x100000)
-            for i in range(2)
-        ]
-        config = ace_config(2)
-        for i, space in enumerate(spaces):
-            ctx = BuildContext(
-                space=space,
-                n_threads=2,
-                n_processors=2,
-                machine_config=config,
-            )
-            ParMult.small().build(ctx)
+        sim = build_simulation(
+            [ParMult.small(), ParMult.small()],
+            MoveThresholdPolicy(threshold=4),
+            n_processors=2,
+        )
         vpages = [
-            {vp for region in space.regions for vp in region.vpages()}
-            for space in spaces
+            {vp for region in ctx.space.regions for vp in region.vpages()}
+            for ctx in sim.contexts
         ]
         assert vpages[0].isdisjoint(vpages[1])
 
@@ -128,3 +111,37 @@ class TestRunMix:
         )
         a, b = mix.tasks
         assert a.user_time_us == pytest.approx(b.user_time_us, rel=0.05)
+
+
+class TestMixSharesTheBuilder:
+    """Mixes are wired by build_simulation, so they get what single
+    runs get: machine-bound policies and the REPRO_SANITIZE checkers."""
+
+    def test_bandwidth_aware_policy_is_bound_to_the_machine(self):
+        policy = build_policy("bandwidth-aware", threshold=4, params={})
+        run_mix([ParMult.small(), Primes1.small()], policy, n_processors=4)
+        assert policy.contention is not None
+
+    def test_sanitizer_attaches_and_changes_nothing(self, monkeypatch):
+        def mix():
+            return run_mix(
+                [ParMult.small(), Primes1.small()],
+                MoveThresholdPolicy(threshold=4),
+                n_processors=4,
+            )
+
+        plain = mix()
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sim = build_simulation(
+            [ParMult.small(), Primes1.small()],
+            MoveThresholdPolicy(threshold=4),
+            n_processors=4,
+        )
+        assert sim.sanitizer is not None
+        run_engine(sim.engine, sim.threads)
+        assert sim.sanitizer.checks > 0
+        sanitized = mix()
+        assert sanitized.tasks == plain.tasks
+        assert sanitized.total_user_us == plain.total_user_us
+        assert sanitized.total_system_us == plain.total_system_us
+        assert sanitized.stats.as_dict() == plain.stats.as_dict()
