@@ -15,29 +15,32 @@ from typing import Dict
 import pytest
 
 from repro.analysis.speedup import SpeedupCurve, speedup_curve
-from repro.workloads.gfetch import Gfetch
-from repro.workloads.imatmult import IMatMult
-from repro.workloads.primes import Primes1, Primes3
+from repro.exp.spec import RunSpec
 
 from conftest import once, save_artifact
 
 SIZES = (1, 2, 4, 7)
 
-FACTORIES = {
-    "Primes1": lambda: Primes1(limit=60_000),
-    "Primes3": lambda: Primes3(limit=300_000),
-    "IMatMult": lambda: IMatMult(n=96),
-    "Gfetch": lambda: Gfetch(total_fetches=120_000),
+SPECS = {
+    name: RunSpec(
+        workload=name, workload_params=params, check_invariants=False
+    )
+    for name, params in (
+        ("Primes1", {"limit": 60_000}),
+        ("Primes3", {"limit": 300_000}),
+        ("IMatMult", {"n": 96}),
+        ("Gfetch", {"total_fetches": 120_000}),
+    )
 }
 
 _curves: Dict[str, SpeedupCurve] = {}
 
 
-@pytest.mark.parametrize("name", list(FACTORIES))
+@pytest.mark.parametrize("name", list(SPECS))
 def test_speedup_curve(benchmark, name):
     curve = once(
         benchmark,
-        lambda: speedup_curve(FACTORIES[name], processors=SIZES),
+        lambda: speedup_curve(SPECS[name], processors=SIZES),
     )
     _curves[name] = curve
     speeds = [p.speedup for p in curve.points]
@@ -45,7 +48,7 @@ def test_speedup_curve(benchmark, name):
 
 
 def test_speedup_shape(benchmark):
-    assert len(_curves) == len(FACTORIES)
+    assert len(_curves) == len(SPECS)
 
     def check() -> str:
         at7 = {name: c.point(7).speedup for name, c in _curves.items()}

@@ -9,19 +9,24 @@ sublinear speedup — and the simulator can report both views.
 
 Elapsed time is approximated as the busiest processor's virtual time,
 which is exact for our engine's contention-free model.
+
+A curve is one :class:`~repro.exp.spec.RunSpec` replayed at every
+machine size: :func:`speedup_curve` runs ``replace(spec,
+n_processors=n)`` for each size through
+:func:`~repro.exp.batch.run_batch`, so the points are ordinary cached,
+poolable specs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
-from repro.core.policies import MoveThresholdPolicy
-from repro.core.policy import NUMAPolicy
 from repro.errors import ConfigurationError
-from repro.sim.harness import run_once
+from repro.exp.batch import run_batch
+from repro.exp.cache import ResultCache
+from repro.exp.spec import RunSpec
 from repro.sim.result import RunResult
-from repro.workloads.base import Workload
 
 
 @dataclass(frozen=True)
@@ -72,38 +77,33 @@ def elapsed_us(result: RunResult) -> float:
 
 
 def speedup_curve(
-    workload_factory: Callable[[], Workload],
+    spec: RunSpec,
     processors: Sequence[int] = (1, 2, 4, 7),
-    policy_factory: Optional[Callable[[], NUMAPolicy]] = None,
-    check_invariants: bool = False,
+    *,
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
 ) -> SpeedupCurve:
     """Measure elapsed time across machine sizes and derive speedups.
 
-    The single-processor run is the baseline; each size runs the same
-    fixed-total-work application under the same policy.
+    *spec* fixes the application, policy and everything else; only its
+    processor count varies.  The single-processor run is the baseline
+    (added when *processors* lacks it), so each size runs the same
+    fixed-total-work application under the same policy.  ``jobs`` and
+    ``cache`` pass through to :func:`~repro.exp.batch.run_batch`.
     """
     if not processors or min(processors) < 1:
         raise ConfigurationError("need at least one positive machine size")
-    if policy_factory is None:
-        policy_factory = lambda: MoveThresholdPolicy(threshold=4)  # noqa: E731
     sizes = sorted(set(processors))
     if sizes[0] != 1:
         sizes = [1] + sizes
-    baseline_us: Optional[float] = None
+    batch = run_batch(
+        [replace(spec, n_processors=n) for n in sizes], jobs=jobs, cache=cache
+    )
+    results = [row.outcome.result for row in batch.rows]
+    baseline_us = elapsed_us(results[0])
     points = []
-    name = ""
-    for n in sizes:
-        workload = workload_factory()
-        name = workload.name
-        result = run_once(
-            workload,
-            policy_factory(),
-            n_processors=n,
-            check_invariants=check_invariants,
-        )
+    for n, result in zip(sizes, results):
         wall = elapsed_us(result)
-        if baseline_us is None:
-            baseline_us = wall
         points.append(
             SpeedupPoint(
                 n_processors=n,
@@ -113,4 +113,4 @@ def speedup_curve(
                 speedup=baseline_us / wall if wall > 0 else 0.0,
             )
         )
-    return SpeedupCurve(workload=name, points=points)
+    return SpeedupCurve(workload=results[0].workload, points=points)

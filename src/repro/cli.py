@@ -34,15 +34,22 @@ Usage::
 minutes of wall time for the sweep-style commands).  ``--json PATH``
 additionally dumps the command's data as JSON lines through the
 telemetry exporters.
+
+Every simulating command describes its runs as
+:class:`~repro.exp.spec.RunSpec` objects and executes them through
+:func:`~repro.exp.batch.run_batch`, so ``--jobs`` and ``--cache-dir``
+apply to all of them.  The three runs that must watch the engine (the
+``optimal`` and ``advise`` traces, the ``metrics`` telemetry) build
+their spec with :meth:`~repro.exp.spec.RunSpec.build` and subscribe
+before running it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import model as eqs
 from repro.analysis.diagrams import figure1, figure2, wiring_report
 from repro.analysis.paper import ACE_LATENCIES, PRIMES2_FALSE_SHARING_ALPHA
 from repro.analysis.report import (
@@ -56,26 +63,18 @@ from repro.core.transitions import READ_TABLE, WRITE_TABLE, StateKey
 from repro.errors import ConfigurationError, ReproError
 from repro.machine.config import TimingParameters, ace_config
 from repro.obs.exporters import JsonSink
-from repro.sim.harness import measure_placement
-from repro.workloads import TABLE_3_WORKLOADS, small_workloads
-from repro.workloads.primes import Primes2
 
+if TYPE_CHECKING:
+    from repro.exp.grid import PlacementSpecs
+    from repro.exp.spec import Outcome, RunSpec
+    from repro.sim.engine import EngineObserver
+    from repro.sim.harness import Simulation
+    from repro.sim.result import RunResult
 
-def _workload_set(quick: bool) -> Dict[str, Callable]:
-    if quick:
-        small = small_workloads()
-        return {name: (lambda wl=wl: wl) for name, wl in small.items()}
-    return dict(TABLE_3_WORKLOADS)
-
-
-def _find_workload(workloads: Dict[str, Callable], name: str) -> Callable:
-    """Case-insensitive workload lookup with a helpful error."""
-    for known, factory in workloads.items():
-        if known.lower() == name.lower():
-            return factory
-    raise ConfigurationError(
-        f"unknown workload {name!r}; choose from {', '.join(workloads)}"
-    )
+#: The move-threshold ablation's default applications and thresholds
+#: (``sweep`` and ``batch --grid sweep``).
+SWEEP_APPS = ("Primes3", "IMatMult")
+SWEEP_THRESHOLDS = (0, 1, 2, 4, 8, 16)
 
 
 def _cache_from(args: argparse.Namespace):
@@ -90,6 +89,53 @@ def _cache_from(args: argparse.Namespace):
     from repro.exp.cache import ResultCache
 
     return ResultCache(args.cache_dir)
+
+
+def _run_specs(
+    args: argparse.Namespace, specs: Sequence[RunSpec]
+) -> List[Outcome]:
+    """The outcomes of *specs*, in order, via the batch orchestrator."""
+    from repro.exp.batch import run_batch
+
+    batch = run_batch(specs, jobs=args.jobs, cache=_cache_from(args))
+    return batch.outcomes
+
+
+def _triples(
+    args: argparse.Namespace,
+    apps: Optional[Sequence[str]] = None,
+    *,
+    quick: Optional[bool] = None,
+    check_invariants: bool = False,
+) -> List[PlacementSpecs]:
+    """Tnuma/Tglobal/Tlocal specs per application under the CLI flags.
+
+    *apps* (default: all of Table 3) resolve case-insensitively to their
+    registry spellings; ``quick`` defaults to ``--quick``.
+    """
+    from repro.exp.grid import table3_grid
+
+    return table3_grid(
+        apps,
+        n_processors=args.processors,
+        threshold=args.threshold,
+        quick=args.quick if quick is None else quick,
+        check_invariants=check_invariants,
+    )
+
+
+def _run_observed(
+    spec: RunSpec, observer: EngineObserver
+) -> Tuple[Simulation, RunResult]:
+    """Build *spec*, subscribe *observer* to its engine, run it.
+
+    Returns the built simulation and its result.
+    """
+    from repro.sim.harness import collect_result, run_engine
+
+    sim = spec.build()
+    sim.engine.add_observer(observer)
+    return sim, collect_result(sim, run_engine(sim.engine, sim.threads))
 
 
 def _evaluation_from_args(args: argparse.Namespace):
@@ -156,26 +202,25 @@ def cmd_alpha(args: argparse.Namespace) -> None:
 def cmd_metrics(args: argparse.Namespace) -> None:
     """Telemetry for one workload: time series, histograms, profile."""
     from repro.obs import Telemetry
+    from repro.sim.harness import collect_result, run_engine
 
-    factory = _find_workload(_workload_set(args.quick), args.workload)
-    workload = factory()
+    [triple] = _triples(args, [args.workload])
     telemetry = Telemetry(sample_interval=args.sample_interval)
-    measurement = measure_placement(
-        workload,
-        n_processors=args.processors,
-        threshold=args.threshold,
-        check_invariants=False,
-        telemetry=telemetry,
+    sim = triple.tnuma.build()
+    telemetry.attach(sim.machine, sim.numa, sim.pool, sim.engine)
+    numa = collect_result(
+        sim, run_engine(sim.engine, sim.threads, telemetry)
     )
+    tglobal, tlocal = _run_specs(args, [triple.tglobal, triple.tlocal])
     meta = {
-        "workload": workload.name,
+        "workload": numa.workload,
         "policy": f"move-threshold({args.threshold})",
         "processors": args.processors,
         "sample_interval": args.sample_interval,
-        "rounds": measurement.numa.rounds,
-        "t_numa_s": measurement.t_numa_s,
-        "t_global_s": measurement.t_global_s,
-        "t_local_s": measurement.t_local_s,
+        "rounds": numa.rounds,
+        "t_numa_s": numa.user_time_s,
+        "t_global_s": tglobal.result.user_time_s,
+        "t_local_s": tlocal.result.user_time_s,
     }
     args.sink.extend(telemetry.to_records(meta))
     print(telemetry.summary(meta))
@@ -249,23 +294,19 @@ def cmd_latency(args: argparse.Namespace) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> None:
     """Move-threshold ablation: γ and overhead versus the threshold."""
-    from repro.exp.batch import run_batch
-    from repro.exp.grid import threshold_grid
+    from repro.exp.grid import flatten, threshold_grid
 
-    thresholds = args.thresholds or [0, 1, 2, 4, 8, 16]
-    names = args.apps or ["Primes3", "IMatMult"]
     sweeps = threshold_grid(
-        names,
-        thresholds,
+        args.apps or SWEEP_APPS,
+        args.thresholds or SWEEP_THRESHOLDS,
         n_processors=args.processors,
         quick=args.quick,
     )
-    batch = run_batch(
-        [spec for sweep in sweeps for spec in sweep.specs],
-        jobs=args.jobs,
-        cache=_cache_from(args),
-    )
-    by_fp = {row.spec.fingerprint(): row.outcome for row in batch.rows}
+    specs = flatten(sweeps)
+    by_fp = {
+        spec.fingerprint(): outcome
+        for spec, outcome in zip(specs, _run_specs(args, specs))
+    }
     for sweep in sweeps:
         base_local = by_fp[sweep.tlocal.fingerprint()].result.user_time_s
         print(
@@ -296,29 +337,40 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 def cmd_false_sharing(args: argparse.Namespace) -> None:
     """The Primes2 case study of Section 4.2."""
+    from repro.exp.grid import placement_specs
+
     limit = 20_000 if args.quick else 200_000
+    variants = (False, True)
+    specs = [
+        placement_specs(
+            "Primes2",
+            n_processors=args.processors,
+            threshold=args.threshold,
+            workload_params={"limit": limit, "private_divisors": private},
+        ).tnuma
+        for private in variants
+    ]
     print("Primes2 divisor placement (Section 4.2):")
-    for private in (False, True):
-        wl = Primes2(limit=limit, private_divisors=private)
-        m = measure_placement(wl, n_processors=args.processors)
+    for private, outcome in zip(variants, _run_specs(args, specs)):
+        numa = outcome.result
         label = "private divisors" if private else "shared divisors "
         paper = PRIMES2_FALSE_SHARING_ALPHA[
             "private_divisors" if private else "shared_divisors"
         ]
-        alpha = m.numa.measured_alpha or 0.0
+        alpha = numa.measured_alpha or 0.0
         args.sink.add(
             {
                 "t": "false_sharing",
                 "private_divisors": private,
                 "alpha": alpha,
                 "alpha_paper": paper,
-                "t_numa_s": m.t_numa_s,
-                "moves": m.numa.stats.moves,
+                "t_numa_s": numa.user_time_s,
+                "moves": numa.stats.moves,
             }
         )
         print(
             f"  {label}: alpha={alpha:.2f} (paper {paper:.2f})  "
-            f"Tnuma={m.t_numa_s:.1f}s"
+            f"Tnuma={numa.user_time_s:.1f}s"
         )
 
 
@@ -326,62 +378,41 @@ def cmd_optimal(args: argparse.Namespace) -> None:
     """Tnuma versus the offline optimal placement (always quick-scale)."""
     from repro.analysis.optimal import compare_to_optimal
     from repro.analysis.tracing import TraceCollector
-    from repro.core.policies import MoveThresholdPolicy
-    from repro.sim.harness import run_once
 
     print("Placement cost vs offline optimum (scaled-down workloads):")
-    for name, workload in small_workloads().items():
+    for triple in _triples(args, quick=True, check_invariants=True):
         trace = TraceCollector()
-        result = run_once(
-            workload,
-            MoveThresholdPolicy(threshold=args.threshold),
-            n_processors=args.processors,
-            observer=trace,
-        )
-        machine_timing = ace_config(args.processors)
-        from repro.machine.timing import TimingModel
-
-        timing = TimingModel(
-            machine_timing.timing, machine_timing.page_size_words
-        )
+        sim, result = _run_observed(triple.tnuma, trace)
         comparison = compare_to_optimal(
-            trace, timing, result.system_time_us
+            trace, sim.machine.timing, result.system_time_us
         )
         print(
-            f"  {name:10s} actual/optimal = {comparison.ratio:>5.2f}  "
-            f"({comparison.n_pages} pages)"
+            f"  {triple.application:10s} actual/optimal = "
+            f"{comparison.ratio:>5.2f}  ({comparison.n_pages} pages)"
         )
 
 
 def cmd_bus(args: argparse.Namespace) -> None:
     """IPC-bus utilization per application (Section 3.1's assumption)."""
     from repro.analysis.bus import analyze_bus
-    from repro.core.policies import MoveThresholdPolicy
-    from repro.sim.harness import run_once
 
     config = ace_config(args.processors)
-    workloads = _workload_set(args.quick)
+    specs = [triple.tnuma for triple in _triples(args)]
     print(f"IPC-bus utilization at {args.processors} processors:")
-    for name, factory in workloads.items():
-        result = run_once(
-            factory(),
-            MoveThresholdPolicy(threshold=args.threshold),
-            n_processors=args.processors,
-            check_invariants=False,
-        )
-        report = analyze_bus(result, config)
+    for spec, outcome in zip(specs, _run_specs(args, specs)):
+        report = analyze_bus(outcome.result, config)
         verdict = "ok" if report.contention_free else "LOADED"
         args.sink.add(
             {
                 "t": "bus",
-                "application": name,
+                "application": spec.workload,
                 "utilization": report.utilization,
                 "contention_factor": report.contention_factor,
                 "contention_free": report.contention_free,
             }
         )
         print(
-            f"  {name:10s} rho={report.utilization:5.3f}  "
+            f"  {spec.workload:10s} rho={report.utilization:5.3f}  "
             f"x{report.contention_factor:4.2f} est. stretch  {verdict}"
         )
 
@@ -390,11 +421,12 @@ def cmd_speedup(args: argparse.Namespace) -> None:
     """Speedup curves (the elapsed-time view the paper avoided)."""
     from repro.analysis.speedup import speedup_curve
 
-    workloads = _workload_set(args.quick)
-    for name in args.apps or ["Primes1", "Primes3"]:
+    for triple in _triples(args, args.apps or ["Primes1", "Primes3"]):
         curve = speedup_curve(
-            _find_workload(workloads, name),
+            triple.tnuma,
             processors=(1, 2, 4, args.processors),
+            jobs=args.jobs,
+            cache=_cache_from(args),
         )
         print(curve.format())
         print()
@@ -404,23 +436,13 @@ def cmd_advise(args: argparse.Namespace) -> None:
     """Run the layout advisor on one application's trace."""
     from repro.analysis.layout_advisor import advise
     from repro.analysis.tracing import TraceCollector
-    from repro.core.policies import MoveThresholdPolicy
-    from repro.sim.harness import build_simulation
 
-    workloads = _workload_set(args.quick)
-    for name in args.apps or ["Primes2", "Primes3"]:
-        factory = _find_workload(workloads, name)
+    for triple in _triples(args, args.apps or ["Primes2", "Primes3"]):
         trace = TraceCollector(keep_faults=False)
-        sim = build_simulation(
-            factory(),
-            MoveThresholdPolicy(threshold=args.threshold),
-            args.processors,
-            observer=trace,
-            check_invariants=False,
-        )
-        sim.engine.run(sim.threads)
+        sim, _ = _run_observed(triple.tnuma, trace)
         report = advise(trace, space=sim.space)
-        print(f"{name}: layout advice (top 5 by estimated saving)")
+        print(f"{triple.application}: layout advice "
+              "(top 5 by estimated saving)")
         if not report.advice:
             print("  nothing to improve: no writably-shared traffic found")
         for item in report.top(5):
@@ -434,32 +456,24 @@ def cmd_advise(args: argparse.Namespace) -> None:
 
 def cmd_mix(args: argparse.Namespace) -> None:
     """Run two applications simultaneously and compare with standalone."""
-    from repro.core.policies import MoveThresholdPolicy
-    from repro.sim.harness import run_once
     from repro.sim.mix import run_mix
 
-    workloads = _workload_set(args.quick)
-    names = args.apps or ["IMatMult", "Primes3"]
-    factories = [_find_workload(workloads, name) for name in names]
+    specs = [
+        triple.tnuma
+        for triple in _triples(args, args.apps or ["IMatMult", "Primes3"])
+    ]
     print(f"application mix on {args.processors} processors: "
-          f"{' + '.join(names)}")
-    standalone = {}
-    for name, factory in zip(names, factories):
-        result = run_once(
-            factory(),
-            MoveThresholdPolicy(threshold=args.threshold),
-            n_processors=args.processors,
-            check_invariants=False,
-        )
-        standalone[name] = result.user_time_us
+          f"{' + '.join(spec.workload for spec in specs)}")
+    standalone = [
+        outcome.result.user_time_us for outcome in _run_specs(args, specs)
+    ]
     mix = run_mix(
-        [factory() for factory in factories],
-        MoveThresholdPolicy(threshold=args.threshold),
+        [spec.resolve_workload() for spec in specs],
+        specs[0].resolve_policy(),
         n_processors=args.processors,
         check_invariants=False,
     )
-    for task in mix.tasks:
-        solo = standalone[task.workload]
+    for task, solo in zip(mix.tasks, standalone):
         ratio = task.user_time_us / solo if solo else 0.0
         args.sink.add(
             {
@@ -547,25 +561,28 @@ def cmd_policies(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run one workload under a seeded fault-injection profile.
 
-    The run executes with the protocol sanitizer attached; every
+    The run is a fault-profile :class:`~repro.exp.spec.RunSpec` (the
+    same spec ``batch --grid chaos`` runs, so the two share cache
+    entries) and executes with the protocol sanitizer attached; every
     injected fault's recovery re-validates the full directory.  The
     structured recovery summary prints as canonical JSON (same workload,
     profile and seed → byte-identical output) and also lands in the
     ``--json`` sink.  Exit code 2 signals a recovery that broke a
     protocol invariant.
     """
-    from repro.faults import run_chaos
+    from repro.exp.spec import RunSpec, workload_name
 
-    factory = _find_workload(_workload_set(args.quick), args.workload)
-    machine_config = _resolve_cli_machine(args)
-    report = run_chaos(
-        factory(),
-        profile_name=args.profile,
-        seed=args.seed,
+    spec = RunSpec(
+        workload=workload_name(args.workload),
+        quick=args.quick,
+        threshold=args.threshold,
         n_processors=args.processors,
-        sanitize=not args.no_sanitize,
-        machine_config=machine_config,
+        machine_name=args.machine,
+        fault_profile=args.profile,
+        fault_seed=args.seed,
     )
+    [outcome] = _run_specs(args, [spec])
+    report = outcome.chaos
     args.sink.add({"t": "chaos_report", **report.as_dict()})
     print(report.to_json())
     return 0
@@ -665,8 +682,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         elif args.grid == "sweep":
             specs = flatten(
                 threshold_grid(
-                    args.apps or ["Primes3", "IMatMult"],
-                    args.thresholds or [0, 1, 2, 4, 8, 16],
+                    args.apps or SWEEP_APPS,
+                    args.thresholds or SWEEP_THRESHOLDS,
                     n_processors=args.processors,
                     quick=args.quick,
                 )
@@ -969,8 +986,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
     ``--foreign``, ``--tmp``), or as a dry run over all categories when
     no flag is given — so pruning can never change what a report would
     say.  ``--tmp`` prunes stale atomic-write leftovers from crashed
-    runs, keeping any younger than ``--tmp-min-age`` (a live batch may
-    still be writing them).
+    runs (``--corrupt`` includes them).  Either way, and in the dry
+    run, temp files younger than ``--tmp-min-age`` are kept: a live
+    batch may still be writing them.
     """
     from repro.exp.cache import DEFAULT_CACHE_DIR, ResultCache
 
@@ -1039,11 +1057,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
             "schema-mismatch", "corrupt", "fingerprint-mismatch",
             "tmp", "foreign",
         ]
-    # --tmp applies the stale-age guard; the legacy --corrupt bundle
-    # (and the dry run) keeps pruning temp files unconditionally.
-    tmp_min_age = args.tmp_min_age if args.tmp else 0.0
+    # Temp files younger than --tmp-min-age may be a live batch's
+    # in-flight atomic writes, whichever flag (or the dry run) picked them.
     removed = cache.gc(
-        reasons, scan=scan, dry_run=dry_run, tmp_min_age_s=tmp_min_age
+        reasons, scan=scan, dry_run=dry_run, tmp_min_age_s=args.tmp_min_age
     )
     verb = "would remove" if dry_run else "removed"
     for item in removed:
@@ -1121,20 +1138,284 @@ def _add_global_options(parser: argparse.ArgumentParser, root: bool) -> None:
         "--jobs",
         type=int,
         default=1 if root else argparse.SUPPRESS,
-        help="worker processes for batched sweeps "
+        help="worker processes for every simulating command "
              "(default 1: serial, in-process)",
     )
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
         default=None if root else argparse.SUPPRESS,
-        help="serve/store sweep results in an on-disk cache at PATH "
-             "(the batch command defaults to .repro-cache)",
+        help="serve/store every simulating command's results in an "
+             "on-disk cache at PATH (batch, report and cache default "
+             "to .repro-cache)",
     )
 
 
+#: Every subcommand option, declared once: flag (or positional name) →
+#: ``add_argument`` keyword arguments.
+OPTIONS: Dict[str, Dict[str, object]] = {
+    # -- shared across commands --------------------------------------------
+    "--apps": dict(
+        nargs="*",
+        default=None,
+        help="applications to analyze (case-insensitive)",
+    ),
+    "--thresholds": dict(
+        nargs="*",
+        type=int,
+        default=None,
+        help="move thresholds to sweep (default "
+             f"{' '.join(map(str, SWEEP_THRESHOLDS))})",
+    ),
+    "--require-cache-ratio": dict(
+        type=float,
+        default=None,
+        metavar="RATIO",
+        help="exit 1 unless at least RATIO of the unique specs were "
+             "served from the cache (CI assertion)",
+    ),
+    "--seed": dict(
+        type=int,
+        default=0,
+        help="fault-plan RNG seed (default 0); the same seed gives "
+             "byte-identical output",
+    ),
+    "--profile": dict(
+        default="transient",
+        help="fault profile: none, transient, frame-loss, storm "
+             "(default transient; batch uses it for --grid chaos)",
+    ),
+    "--format": dict(
+        choices=("text", "json", "table"),
+        default="text",
+        help="stdout rendering: the command's own text (for policies, "
+             "a markdown table), one JSON object per record, or a "
+             "markdown table",
+    ),
+    "workload": dict(help="application to run (case-insensitive)"),
+    # -- batch -------------------------------------------------------------
+    "--grid": dict(
+        choices=("table3", "sweep", "chaos", "tournament"),
+        default="table3",
+        help="spec grid to run: the Tables 3-4 matrix (default), "
+             "the move-threshold ablation, a chaos seed fan, or "
+             "a policy tournament",
+    ),
+    "--policies": dict(
+        nargs="*",
+        default=None,
+        metavar="NAME[:K=V,...]",
+        help="tournament entrants, e.g. move-threshold "
+             "adaptive-threshold 'bandit:seed=7' (default: "
+             "move-threshold, adaptive-threshold, "
+             "bandwidth-aware, bandit; see 'repro-numa policies')",
+    ),
+    "--seeds": dict(
+        nargs="*",
+        type=int,
+        default=None,
+        help="fault-plan seeds for --grid chaos (default 0 1 2)",
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="run without the on-disk result cache",
+    ),
+    "--resume": dict(
+        action="store_true",
+        help="rebuild and re-run the last batch from the crash "
+             "journal beside the cache directory (finished work "
+             "is served from the cache)",
+    ),
+    "--results": dict(
+        default=None,
+        metavar="PATH",
+        help="write the canonical results document (host-time "
+             "free; byte-identical across crash/resume) to PATH",
+    ),
+    "--max-attempts": dict(
+        type=int,
+        default=3,
+        metavar="N",
+        help="supervised attempts per spec before quarantine "
+             "(default 3; 1 disables retry)",
+    ),
+    "--timeout": dict(
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-spec wall-clock timeout; an overdue worker is "
+             "recycled and the spec retried (default: none)",
+    ),
+    "--strict": dict(
+        action="store_true",
+        help="strict contract: one attempt per spec, first "
+             "failure aborts the batch (exit 2)",
+    ),
+    "--no-journal": dict(
+        action="store_true",
+        help="skip the crash journal (the batch cannot be "
+             "--resume'd after a hard kill)",
+    ),
+    "--harness-chaos": dict(
+        default=None,
+        metavar="PROFILE",
+        help="run under seeded orchestrator faults: none, "
+             "worker-kill, worker-hang, cache-corrupt, mayhem "
+             "(resilience testing)",
+    ),
+    "--harness-seed": dict(
+        type=int,
+        default=0,
+        metavar="N",
+        help="seed for harness chaos and retry-backoff jitter "
+             "(default 0)",
+    ),
+    # -- report ------------------------------------------------------------
+    "--from-cache": dict(
+        action="store_true",
+        help="render purely from the result cache: nothing "
+             "simulates, missing specs are footnoted",
+    ),
+    "--fill": dict(
+        action="store_true",
+        help="with --from-cache: simulate just the missing "
+             "required specs first, then render",
+    ),
+    "--missing": dict(
+        action="store_true",
+        help="list required specs absent from the cache "
+             "(fingerprint + label) instead of writing the report",
+    ),
+    "--out": dict(
+        default="REPORT.md",
+        metavar="PATH",
+        help="report output path (default REPORT.md)",
+    ),
+    "--tables": dict(
+        default=None,
+        metavar="DIR",
+        help="also emit table3/table4 as CSV and LaTeX into DIR",
+    ),
+    # -- cache -------------------------------------------------------------
+    "action": dict(
+        choices=("ls", "stats", "gc"),
+        help="list entries, aggregate statistics, or prune "
+             "unusable files",
+    ),
+    "--schema-mismatch": dict(
+        action="store_true",
+        help="gc: remove entries written under an older cache schema",
+    ),
+    "--corrupt": dict(
+        action="store_true",
+        help="gc: remove unparseable entries, fingerprint "
+             "mismatches, and stale temp files",
+    ),
+    "--foreign": dict(
+        action="store_true",
+        help="gc: remove files that are not cache entries at all",
+    ),
+    "--tmp": dict(
+        action="store_true",
+        help="gc: remove stale .tmp-* files left by crashed "
+             "atomic writes",
+    ),
+    "--tmp-min-age": dict(
+        type=float,
+        default=60.0,
+        metavar="SECONDS",
+        help="gc: keep temp files younger than this (a live batch "
+             "may still be writing them; default 60)",
+    ),
+    # -- metrics, lint, modelcheck, races ------------------------------------
+    "--sample-interval": dict(
+        type=int,
+        default=32,
+        help="scheduling rounds per telemetry sample (default 32)",
+    ),
+    "paths": dict(
+        nargs="*",
+        help="files or directories to lint "
+             "(default: the installed repro package)",
+    ),
+    "--cpus": dict(
+        type=int,
+        default=3,
+        help="abstract processors for reachability (default 3, "
+             "the smallest count with all owner relations)",
+    ),
+    "--static": dict(
+        action="store_true",
+        help="static layer only: RN008-RN011 lint + guard "
+             "inference, no simulation (fast CI mode)",
+    ),
+    "--profiles": dict(
+        nargs="*",
+        default=None,
+        help="fault profiles for the dynamic layer "
+             "(default: none transient)",
+    ),
+    "--skip-fixtures": dict(
+        action="store_true",
+        help="skip the seeded synthetic-race fixtures "
+             "(they otherwise run with the dynamic layer)",
+    ),
+}
+
+#: The command table: name → (handler, the :data:`OPTIONS` it takes).
+COMMANDS = {
+    "table3": (cmd_table3, ()),
+    "table4": (cmd_table4, ()),
+    "tables12": (cmd_tables12, ()),
+    "figures": (cmd_figures, ()),
+    "latency": (cmd_latency, ()),
+    "alpha": (cmd_alpha, ()),
+    "sweep": (cmd_sweep, ("--apps", "--thresholds")),
+    "false-sharing": (cmd_false_sharing, ()),
+    "optimal": (cmd_optimal, ()),
+    "advise": (cmd_advise, ("--apps",)),
+    "bus": (cmd_bus, ()),
+    "speedup": (cmd_speedup, ("--apps",)),
+    "metrics": (cmd_metrics, ("workload", "--sample-interval")),
+    "chaos": (cmd_chaos, ("workload", "--profile", "--seed")),
+    "topologies": (cmd_topologies, ()),
+    "policies": (cmd_policies, ("--format",)),
+    "mix": (cmd_mix, ("--apps",)),
+    "batch": (
+        cmd_batch,
+        (
+            "--apps", "--thresholds", "--grid", "--policies", "--profile",
+            "--seeds", "--no-cache", "--require-cache-ratio", "--resume",
+            "--results", "--max-attempts", "--timeout", "--strict",
+            "--no-journal", "--harness-chaos", "--harness-seed",
+        ),
+    ),
+    "cache": (
+        cmd_cache,
+        (
+            "action", "--schema-mismatch", "--corrupt", "--foreign",
+            "--tmp", "--tmp-min-age",
+        ),
+    ),
+    "lint": (cmd_lint, ("paths", "--format")),
+    "modelcheck": (cmd_modelcheck, ("--cpus", "--format")),
+    "races": (
+        cmd_races,
+        ("--format", "--static", "--profiles", "--seed", "--skip-fixtures"),
+    ),
+    "report": (
+        cmd_report,
+        (
+            "--apps", "--from-cache", "--fill", "--missing", "--out",
+            "--tables", "--require-cache-ratio",
+        ),
+    ),
+    "all": (cmd_all, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser."""
+    """The CLI argument parser, built from :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="repro-numa",
         description=__doc__,
@@ -1142,322 +1423,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_global_options(parser, root=True)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "table3": cmd_table3,
-        "table4": cmd_table4,
-        "tables12": cmd_tables12,
-        "figures": cmd_figures,
-        "latency": cmd_latency,
-        "alpha": cmd_alpha,
-        "sweep": cmd_sweep,
-        "false-sharing": cmd_false_sharing,
-        "optimal": cmd_optimal,
-        "advise": cmd_advise,
-        "bus": cmd_bus,
-        "speedup": cmd_speedup,
-        "metrics": cmd_metrics,
-        "chaos": cmd_chaos,
-        "topologies": cmd_topologies,
-        "policies": cmd_policies,
-        "mix": cmd_mix,
-        "batch": cmd_batch,
-        "cache": cmd_cache,
-        "lint": cmd_lint,
-        "modelcheck": cmd_modelcheck,
-        "races": cmd_races,
-        "report": cmd_report,
-        "all": cmd_all,
-    }
-    for name, func in commands.items():
+    for name, (func, options) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=func.__doc__)
         sub.set_defaults(func=func)
         _add_global_options(sub, root=False)
-        if name in ("sweep", "advise", "speedup", "mix", "batch", "report"):
-            sub.add_argument(
-                "--apps",
-                nargs="*",
-                default=None,
-                help="applications to analyze",
-            )
-        if name in ("sweep", "batch"):
-            sub.add_argument(
-                "--thresholds",
-                nargs="*",
-                type=int,
-                default=None,
-                help="move thresholds to sweep (default 0 1 2 4 8 16)",
-            )
-        if name == "batch":
-            sub.add_argument(
-                "--grid",
-                choices=("table3", "sweep", "chaos", "tournament"),
-                default="table3",
-                help="spec grid to run: the Tables 3-4 matrix (default), "
-                     "the move-threshold ablation, a chaos seed fan, or "
-                     "a policy tournament",
-            )
-            sub.add_argument(
-                "--policies",
-                nargs="*",
-                default=None,
-                metavar="NAME[:K=V,...]",
-                help="tournament entrants, e.g. move-threshold "
-                     "adaptive-threshold 'bandit:seed=7' (default: "
-                     "move-threshold, adaptive-threshold, "
-                     "bandwidth-aware, bandit; see 'repro-numa policies')",
-            )
-            sub.add_argument(
-                "--profile",
-                default="transient",
-                help="fault profile for --grid chaos (default transient)",
-            )
-            sub.add_argument(
-                "--seeds",
-                nargs="*",
-                type=int,
-                default=None,
-                help="fault-plan seeds for --grid chaos (default 0 1 2)",
-            )
-            sub.add_argument(
-                "--no-cache",
-                action="store_true",
-                help="run without the on-disk result cache",
-            )
-            sub.add_argument(
-                "--require-cache-ratio",
-                type=float,
-                default=None,
-                metavar="RATIO",
-                help="exit 1 unless at least RATIO of the unique specs "
-                     "came from the cache (CI resumability assertion)",
-            )
-            sub.add_argument(
-                "--resume",
-                action="store_true",
-                help="rebuild and re-run the last batch from the crash "
-                     "journal beside the cache directory (finished work "
-                     "is served from the cache)",
-            )
-            sub.add_argument(
-                "--results",
-                default=None,
-                metavar="PATH",
-                help="write the canonical results document (host-time "
-                     "free; byte-identical across crash/resume) to PATH",
-            )
-            sub.add_argument(
-                "--max-attempts",
-                type=int,
-                default=3,
-                metavar="N",
-                help="supervised attempts per spec before quarantine "
-                     "(default 3; 1 disables retry)",
-            )
-            sub.add_argument(
-                "--timeout",
-                type=float,
-                default=None,
-                metavar="SECONDS",
-                help="per-spec wall-clock timeout; an overdue worker is "
-                     "recycled and the spec retried (default: none)",
-            )
-            sub.add_argument(
-                "--strict",
-                action="store_true",
-                help="strict contract: one attempt per spec, first "
-                     "failure aborts the batch (exit 2)",
-            )
-            sub.add_argument(
-                "--no-journal",
-                action="store_true",
-                help="skip the crash journal (the batch cannot be "
-                     "--resume'd after a hard kill)",
-            )
-            sub.add_argument(
-                "--harness-chaos",
-                default=None,
-                metavar="PROFILE",
-                help="run under seeded orchestrator faults: none, "
-                     "worker-kill, worker-hang, cache-corrupt, mayhem "
-                     "(resilience testing)",
-            )
-            sub.add_argument(
-                "--harness-seed",
-                type=int,
-                default=0,
-                metavar="N",
-                help="seed for harness chaos and retry-backoff jitter "
-                     "(default 0)",
-            )
-        if name == "report":
-            sub.add_argument(
-                "--from-cache",
-                action="store_true",
-                help="render purely from the result cache: nothing "
-                     "simulates, missing specs are footnoted",
-            )
-            sub.add_argument(
-                "--fill",
-                action="store_true",
-                help="with --from-cache: simulate just the missing "
-                     "required specs first, then render",
-            )
-            sub.add_argument(
-                "--missing",
-                action="store_true",
-                help="list required specs absent from the cache "
-                     "(fingerprint + label) instead of writing the report",
-            )
-            sub.add_argument(
-                "--out",
-                default="REPORT.md",
-                metavar="PATH",
-                help="report output path (default REPORT.md)",
-            )
-            sub.add_argument(
-                "--tables",
-                default=None,
-                metavar="DIR",
-                help="also emit table3/table4 as CSV and LaTeX into DIR",
-            )
-            sub.add_argument(
-                "--require-cache-ratio",
-                type=float,
-                default=None,
-                metavar="RATIO",
-                help="exit 1 unless at least RATIO of the required specs "
-                     "were served from the cache (CI assertion)",
-            )
-        if name == "cache":
-            sub.add_argument(
-                "action",
-                choices=("ls", "stats", "gc"),
-                help="list entries, aggregate statistics, or prune "
-                     "unusable files",
-            )
-            sub.add_argument(
-                "--schema-mismatch",
-                action="store_true",
-                help="gc: remove entries written under an older cache "
-                     "schema",
-            )
-            sub.add_argument(
-                "--corrupt",
-                action="store_true",
-                help="gc: remove unparseable entries, fingerprint "
-                     "mismatches, and leftover temp files",
-            )
-            sub.add_argument(
-                "--foreign",
-                action="store_true",
-                help="gc: remove files that are not cache entries at all",
-            )
-            sub.add_argument(
-                "--tmp",
-                action="store_true",
-                help="gc: remove stale .tmp-* files left by crashed "
-                     "atomic writes",
-            )
-            sub.add_argument(
-                "--tmp-min-age",
-                type=float,
-                default=60.0,
-                metavar="SECONDS",
-                help="gc --tmp: keep temp files younger than this (a "
-                     "live batch may still be writing them; default 60)",
-            )
-        if name == "metrics":
-            sub.add_argument(
-                "workload",
-                help="application to instrument (case-insensitive)",
-            )
-            sub.add_argument(
-                "--sample-interval",
-                type=int,
-                default=32,
-                help="scheduling rounds per telemetry sample (default 32)",
-            )
-        if name == "chaos":
-            sub.add_argument(
-                "workload",
-                help="application to run under faults (case-insensitive)",
-            )
-            sub.add_argument(
-                "--profile",
-                default="transient",
-                help="fault profile: none, transient, frame-loss, storm "
-                     "(default transient)",
-            )
-            sub.add_argument(
-                "--seed",
-                type=int,
-                default=0,
-                help="fault-plan RNG seed (default 0); same seed and "
-                     "profile give byte-identical summaries",
-            )
-            sub.add_argument(
-                "--no-sanitize",
-                action="store_true",
-                help="skip the protocol sanitizer (overhead measurement)",
-            )
-        if name == "lint":
-            sub.add_argument(
-                "paths",
-                nargs="*",
-                help="files or directories to lint "
-                     "(default: the installed repro package)",
-            )
-        if name == "modelcheck":
-            sub.add_argument(
-                "--cpus",
-                type=int,
-                default=3,
-                help="abstract processors for reachability (default 3, "
-                     "the smallest count with all owner relations)",
-            )
-        if name in ("lint", "modelcheck", "races"):
-            sub.add_argument(
-                "--format",
-                choices=("text", "json", "table"),
-                default="text",
-                help="stdout rendering: classic text (default), one JSON "
-                     "object per record, or a markdown table",
-            )
-        if name == "policies":
-            sub.add_argument(
-                "--format",
-                choices=("table", "json"),
-                default="table",
-                help="stdout rendering: markdown table (default) or one "
-                     "JSON object per policy",
-            )
-        if name == "races":
-            sub.add_argument(
-                "--static",
-                action="store_true",
-                help="static layer only: RN008-RN011 lint + guard "
-                     "inference, no simulation (fast CI mode)",
-            )
-            sub.add_argument(
-                "--profiles",
-                nargs="*",
-                default=None,
-                help="fault profiles for the dynamic layer "
-                     "(default: none transient)",
-            )
-            sub.add_argument(
-                "--seed",
-                type=int,
-                default=0,
-                help="fault-plan RNG seed for the dynamic layer "
-                     "(default 0; same seed gives identical output)",
-            )
-            sub.add_argument(
-                "--skip-fixtures",
-                action="store_true",
-                help="skip the seeded synthetic-race fixtures "
-                     "(they otherwise run with the dynamic layer)",
-            )
+        for option in options:
+            sub.add_argument(option, **OPTIONS[option])
     return parser
 
 

@@ -105,10 +105,6 @@ class PolicyEntry:
         """The schema as an insertion-ordered name → spec mapping."""
         return {spec.name: spec for spec in self.param_schema}
 
-    def default_params(self) -> Dict[str, object]:
-        """Every parameter at its default."""
-        return {spec.name: spec.default for spec in self.param_schema}
-
     def validate_params(
         self, params: Mapping[str, object]
     ) -> Dict[str, object]:

@@ -19,32 +19,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exp.spec import Pairs, RunSpec
+from repro.exp.spec import Pairs, RunSpec, workload_name
 from repro.workloads import TABLE_3_WORKLOADS
 
 
 def registry_names(apps: Optional[Iterable[str]] = None) -> List[str]:
     """Canonical registry spellings for *apps* (default: all of Table 3).
 
-    Lookup is case-insensitive; unknown names raise through
-    :func:`~repro.exp.spec.resolve_workload` with the full menu.
+    Each name goes through :func:`~repro.exp.spec.workload_name`, so
+    lookup is case-insensitive and unknown names raise with the menu.
     """
     if apps is None:
         return list(TABLE_3_WORKLOADS)
-    canonical = []
-    for name in apps:
-        match = next(
-            (known for known in TABLE_3_WORKLOADS
-             if known.lower() == name.lower()),
-            None,
-        )
-        if match is None:
-            # Delegate for the standard error message.
-            from repro.exp.spec import resolve_workload
-
-            resolve_workload(name)
-        canonical.append(match)
-    return canonical
+    return [workload_name(name) for name in apps]
 
 
 @dataclass(frozen=True)

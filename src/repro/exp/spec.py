@@ -57,6 +57,21 @@ def _freeze_pairs(value: Union[Pairs, Mapping[str, object]]) -> Pairs:
     return tuple(sorted((str(k), v) for k, v in items))
 
 
+def workload_name(name: str) -> str:
+    """The canonical registry spelling of workload *name*.
+
+    The one workload-name lookup: case-insensitive, and an unknown name
+    raises :class:`~repro.errors.ConfigurationError` with the full menu.
+    """
+    for known in TABLE_3_WORKLOADS:
+        if known.lower() == name.lower():
+            return known
+    raise ConfigurationError(
+        f"unknown workload {name!r}; "
+        f"choose from {', '.join(TABLE_3_WORKLOADS)}"
+    )
+
+
 def resolve_workload(
     name: str, quick: bool = False, params: Pairs = ()
 ) -> Workload:
@@ -64,19 +79,10 @@ def resolve_workload(
 
     ``params`` (constructor keyword arguments) take precedence; with no
     params, ``quick`` selects the scaled-down ``.small()`` instance,
-    matching the CLI's ``--quick`` behaviour.  Lookup is
-    case-insensitive, like the CLI's.
+    matching the CLI's ``--quick`` behaviour.  Lookup goes through
+    :func:`workload_name`.
     """
-    cls = None
-    for known, factory in TABLE_3_WORKLOADS.items():
-        if known.lower() == name.lower():
-            cls = factory
-            break
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; "
-            f"choose from {', '.join(TABLE_3_WORKLOADS)}"
-        )
+    cls = TABLE_3_WORKLOADS[workload_name(name)]
     if params:
         return cls(**dict(params))
     if quick:

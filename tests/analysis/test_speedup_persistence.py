@@ -12,33 +12,36 @@ from repro.analysis.tracing import TraceCollector
 from repro.core.policies import MoveThresholdPolicy
 from repro.core.state import AccessKind
 from repro.errors import ConfigurationError
+from repro.exp.spec import RunSpec
 from repro.machine.timing import MemoryLocation
 from repro.sim.harness import run_once
-from repro.workloads.gfetch import Gfetch
 from repro.workloads.primes import Primes1
+
+
+def _quick(name):
+    """The scaled-down move-threshold run of *name*, as a curve spec."""
+    return RunSpec(workload=name, quick=True, check_invariants=False)
 
 
 class TestSpeedupCurve:
     def test_private_workload_speeds_up_nearly_linearly(self):
-        curve = speedup_curve(
-            Primes1.small, processors=(1, 2, 4)
-        )
+        curve = speedup_curve(_quick("Primes1"), processors=(1, 2, 4))
         assert curve.point(1).speedup == pytest.approx(1.0)
         assert curve.point(4).speedup > 3.0
         assert curve.point(4).efficiency > 0.75
 
     def test_bus_bound_workload_speedup_is_capped_by_gamma(self):
         """Gfetch's fetches all turn global: speedup ~ n / (G/L)."""
-        curve = speedup_curve(Gfetch.small, processors=(1, 4))
+        curve = speedup_curve(_quick("Gfetch"), processors=(1, 4))
         assert curve.point(4).speedup < 2.8  # far below linear
 
     def test_speedup_is_monotone_in_processors(self):
-        curve = speedup_curve(Primes1.small, processors=(1, 2, 4))
+        curve = speedup_curve(_quick("Primes1"), processors=(1, 2, 4))
         speeds = [p.speedup for p in curve.points]
         assert speeds == sorted(speeds)
 
     def test_baseline_inserted_when_missing(self):
-        curve = speedup_curve(Primes1.small, processors=(2, 4))
+        curve = speedup_curve(_quick("Primes1"), processors=(2, 4))
         assert curve.points[0].n_processors == 1
 
     def test_format_mentions_every_size(self):
@@ -59,9 +62,9 @@ class TestSpeedupCurve:
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
-            speedup_curve(Primes1.small, processors=())
+            speedup_curve(_quick("Primes1"), processors=())
         with pytest.raises(ConfigurationError):
-            speedup_curve(Primes1.small, processors=(0, 2))
+            speedup_curve(_quick("Primes1"), processors=(0, 2))
 
     def test_elapsed_is_busiest_processor(self):
         result = run_once(

@@ -1,10 +1,14 @@
 """The ``repro-numa cache`` and cache-backed ``report`` commands."""
 
 import json
+import os
+import time
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exp.cache import ResultCache
+from repro.exp.spec import RunSpec
 
 
 def _warm(monkeypatch, tmp_path, apps=("ParMult",)):
@@ -223,9 +227,6 @@ class TestCacheCommand:
                                                 monkeypatch):
         """--tmp collects crashed-run leftovers but keeps fresh temp
         files a live batch may still be writing."""
-        import os
-        import time
-
         root = _warm(monkeypatch, tmp_path)
         fresh = root / ".tmp-live.json"
         fresh.write_text("{")
@@ -245,3 +246,76 @@ class TestCacheCommand:
         ) == 0
         assert "removed 1 file(s)" in capsys.readouterr().out
         assert not fresh.exists()
+
+    def test_gc_corrupt_keeps_in_flight_temp_files(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """--corrupt sweeps temp files too, under the same --tmp-min-age
+        guard as --tmp: a fresh one may be a live batch's atomic write."""
+        root = _warm(monkeypatch, tmp_path)
+        live = root / ".tmp-live.json"
+        live.write_text("{")
+
+        assert main(["cache", "gc"]) == 0
+        assert ".tmp-live.json" not in capsys.readouterr().out
+        assert main(["cache", "gc", "--corrupt"]) == 0
+        assert "removed 0 file(s)" in capsys.readouterr().out
+        assert live.exists()
+
+        past = time.time() - 7200
+        os.utime(live, (past, past))
+        assert main(["cache", "gc", "--corrupt"]) == 0
+        out = capsys.readouterr().out
+        assert "removed 1 file(s)" in out
+        assert ".tmp-live.json" in out
+        assert not live.exists()
+
+
+class TestSimulatingCommandsShareTheCache:
+    """Every simulating command runs its specs through ``run_batch``, so
+    a warm ``--cache-dir`` serves a repeat run without simulating."""
+
+    @staticmethod
+    def _cold_then_warm(argv, capsys, monkeypatch):
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+
+        def refuse(spec):
+            raise AssertionError(f"{spec.label} simulated on a warm cache")
+
+        monkeypatch.setattr(RunSpec, "execute", refuse)
+        assert main(argv) == 0
+        return cold, capsys.readouterr().out
+
+    def test_bus_is_served_from_the_cache(self, tmp_path, capsys,
+                                          monkeypatch):
+        cache = tmp_path / "cache"
+        cold, warm = self._cold_then_warm(
+            ["--quick", "--processors", "3", "--cache-dir", str(cache),
+             "bus"],
+            capsys,
+            monkeypatch,
+        )
+        assert warm == cold
+        assert len(ResultCache(cache).scan().entries) == 8
+
+    def test_chaos_is_served_from_the_cache(self, tmp_path, capsys,
+                                            monkeypatch):
+        cache = tmp_path / "cache"
+        cold, warm = self._cold_then_warm(
+            ["--quick", "--processors", "3", "--cache-dir", str(cache),
+             "chaos", "parmult", "--seed", "7"],
+            capsys,
+            monkeypatch,
+        )
+        assert warm == cold
+        assert json.loads(cold)["seed"] == 7
+        [entry] = ResultCache(cache).scan().entries
+        assert entry.outcome.kind == "chaos"
+
+    def test_speedup_honours_the_threshold(self, capsys):
+        argv = ["--quick", "--processors", "3", "speedup", "--apps",
+                "Primes3"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(["--threshold", "0", *argv]) == 0
+        assert capsys.readouterr().out != default

@@ -69,23 +69,18 @@ class TestAnalysisCommands:
         assert "## Table 3" in text
         assert "## Figure 2" in text
 
-    def test_mix(self, capsys):
+    @pytest.mark.parametrize(
+        "apps",
+        [["ParMult", "Primes1"], ["parmult", "primes1"]],
+        ids=["registry-case", "lower-case"],
+    )
+    def test_mix(self, capsys, apps):
         assert (
-            main(
-                [
-                    "--quick",
-                    "--processors",
-                    "3",
-                    "mix",
-                    "--apps",
-                    "ParMult",
-                    "Primes1",
-                ]
-            )
+            main(["--quick", "--processors", "3", "mix", "--apps", *apps])
             == 0
         )
         out = capsys.readouterr().out
-        assert "application mix" in out
+        assert "application mix on 3 processors: ParMult + Primes1" in out
         assert "standalone" in out
 
     def test_alpha(self, capsys):

@@ -20,6 +20,7 @@ from repro.analysis import (
 from repro.analysis.optimal import protocol_cost_us
 from repro.core.policies import HomeNodePolicy, PragmaPolicy
 from repro.core.policies.pragma import Pragma
+from repro.exp.spec import RunSpec
 from repro.machine.timing import TimingModel
 from repro.sim.harness import build_simulation
 from repro.workloads import IMatMult, Primes3, small_workloads
@@ -83,7 +84,10 @@ class TestFullPipeline:
 
     def test_speedup_and_placement_agree(self):
         """γ from the model matches the speedup shortfall direction."""
-        curve = speedup_curve(Primes3.small, processors=(1, 4))
+        curve = speedup_curve(
+            RunSpec(workload="Primes3", quick=True, check_invariants=False),
+            processors=(1, 4),
+        )
         measurement = measure_placement(Primes3.small(), n_processors=4)
         params = solve_model(measurement)
         # gamma > 1 implies sublinear speedup.
