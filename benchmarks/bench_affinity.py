@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policies import MoveThresholdPolicy
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.threads.scheduler import GlobalQueueScheduler
 from repro.workloads.fft import FFT
 from repro.workloads.primes import Primes1, Primes2
@@ -22,19 +22,19 @@ from conftest import once, save_artifact
 
 
 def _pair(workload_factory, migration_period=40):
-    bound = run_once(
+    bound = build_simulation(
         workload_factory(),
         MoveThresholdPolicy(threshold=4),
         n_processors=7,
         check_invariants=False,
-    )
-    migratory = run_once(
+    ).run()
+    migratory = build_simulation(
         workload_factory(),
         MoveThresholdPolicy(threshold=4),
         n_processors=7,
         scheduler_factory=lambda n: GlobalQueueScheduler(n, migration_period),
         check_invariants=False,
-    )
+    ).run()
     return bound, migratory
 
 
@@ -87,13 +87,13 @@ def test_faster_migration_is_worse(benchmark):
     def run():
         results = {}
         for period in (200, 50, 15):
-            results[period] = run_once(
+            results[period] = build_simulation(
                 Primes2(limit=40_000),
                 MoveThresholdPolicy(threshold=4),
                 n_processors=7,
                 scheduler_factory=lambda n, p=period: GlobalQueueScheduler(n, p),
                 check_invariants=False,
-            )
+            ).run()
         return results
 
     results = once(benchmark, run)

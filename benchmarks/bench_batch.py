@@ -29,6 +29,7 @@ import os
 from repro.exp.batch import run_batch
 from repro.exp.cache import ResultCache
 from repro.exp.grid import flatten, table3_grid
+from repro.exp.runner import usable_cpus
 
 from conftest import ARTIFACTS, once, save_artifact
 
@@ -71,7 +72,7 @@ def test_parallel_speedup_and_fidelity(benchmark):
             f"parallel outcome diverged for {left.spec.label}"
         )
 
-    cores = os.cpu_count() or 1
+    cores = usable_cpus()
     ratio = serial.wall_s / parallel.wall_s if parallel.wall_s else 0.0
     threshold = effective_threshold(cores)
     artifact = {

@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.bus import BusReport, analyze_bus
 from repro.core.policies import MoveThresholdPolicy
 from repro.machine.config import ace_config
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads import TABLE_3_WORKLOADS
 from repro.workloads.gfetch import Gfetch
 
@@ -31,12 +31,12 @@ _reports: Dict[str, BusReport] = {}
 def test_bus_utilization_per_application(benchmark, name):
     def run() -> BusReport:
         config = ace_config(7)
-        result = run_once(
+        result = build_simulation(
             TABLE_3_WORKLOADS[name](),
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
-        )
+        ).run()
         return analyze_bus(result, config)
 
     report = once(benchmark, run)
@@ -79,12 +79,12 @@ def test_gfetch_scaling_loads_the_bus(benchmark):
         rhos = {}
         for n in (2, 4, 8):
             config = ace_config(n, enforce_backplane=True)
-            result = run_once(
+            result = build_simulation(
                 Gfetch(total_fetches=240_000),
                 MoveThresholdPolicy(threshold=4),
                 machine_config=config,
                 check_invariants=False,
-            )
+            ).run()
             rhos[n] = analyze_bus(result, config).utilization
         return rhos
 

@@ -12,7 +12,7 @@ from repro.analysis.false_sharing import analyze
 from repro.analysis.paper import PRIMES2_FALSE_SHARING_ALPHA
 from repro.analysis.tracing import TraceCollector
 from repro.core.policies import MoveThresholdPolicy
-from repro.sim.harness import measure_placement, run_once
+from repro.sim.harness import measure_placement, build_simulation
 from repro.workloads.plytrace import PlyTrace
 from repro.workloads.primes import Primes2
 
@@ -59,18 +59,18 @@ def test_primes2_tuning_story(benchmark):
     """The before/after shape: tuning buys back nearly all global refs."""
 
     def run():
-        shared = run_once(
+        shared = build_simulation(
             Primes2(limit=LIMIT, private_divisors=False),
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
-        )
-        private = run_once(
+        ).run()
+        private = build_simulation(
             Primes2(limit=LIMIT, private_divisors=True),
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
-        )
+        ).run()
         assert private.measured_alpha - shared.measured_alpha > 0.25
         assert private.user_time_us < shared.user_time_us
         return shared, private
@@ -91,18 +91,18 @@ def test_plytrace_packed_layout(benchmark):
     """Packing framebuffer bands onto shared pages degrades placement."""
 
     def run():
-        padded = run_once(
+        padded = build_simulation(
             PlyTrace(n_polygons=2000),
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
-        )
-        packed = run_once(
+        ).run()
+        packed = build_simulation(
             PlyTrace(n_polygons=2000, padded_framebuffer=False),
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
-        )
+        ).run()
         assert packed.measured_alpha < padded.measured_alpha - 0.10
         assert packed.user_time_us > padded.user_time_us
         return padded, packed
@@ -122,13 +122,13 @@ def test_detector_fingers_the_packed_pages(benchmark):
 
     def run():
         trace = TraceCollector()
-        run_once(
+        build_simulation(
             PlyTrace(n_polygons=1000, padded_framebuffer=False),
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             observer=trace,
             check_invariants=False,
-        )
+        ).run()
         report = analyze(trace, dominance_threshold=0.6)
         # The packed framebuffer pages are writably shared...
         assert len(report.writably_shared_pages) >= 8

@@ -18,8 +18,7 @@ from typing import Dict
 import pytest
 
 from repro.core.policies import AllGlobalPolicy, MoveThresholdPolicy
-from repro.sim.harness import run_once
-from repro.sim.mix import run_mix
+from repro.sim.harness import build_simulation
 from repro.workloads.imatmult import IMatMult
 from repro.workloads.primes import Primes1, Primes2, Primes3
 
@@ -45,26 +44,26 @@ _ratios: Dict[str, float] = {}
 def test_mix_preserves_each_applications_locality(benchmark, pair):
     def run():
         standalone = {
-            name: run_once(
+            name: build_simulation(
                 FACTORIES[name](),
                 MoveThresholdPolicy(threshold=4),
                 n_processors=7,
                 check_invariants=False,
-            ).user_time_us
+            ).run().user_time_us
             for name in pair
         }
-        mix = run_mix(
+        mix = build_simulation(
             [FACTORIES[name]() for name in pair],
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
         )
-        return standalone, mix
+        mix.run()
+        return standalone, mix.engine.task_user_us
 
-    standalone, mix = once(benchmark, run)
-    for name in pair:
-        mixed = mix.task_named(name).user_time_us
-        ratio = mixed / standalone[name]
+    standalone, in_mix = once(benchmark, run)
+    for task, name in enumerate(pair):
+        ratio = in_mix.get(task, 0.0) / standalone[name]
         _ratios[f"{name} in {'+'.join(pair)}"] = ratio
         # Sharing the machine must not destroy placement: attributed
         # user time within a few percent of the standalone run.
@@ -78,22 +77,22 @@ def test_global_placement_hurts_the_mix_too(benchmark):
 
     def run():
         pair = ("IMatMult", "Primes3")
-        numa = run_mix(
+        numa = build_simulation(
             [FACTORIES[name]() for name in pair],
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
-        )
-        all_global = run_mix(
+        ).run()
+        all_global = build_simulation(
             [FACTORIES[name]() for name in pair],
             AllGlobalPolicy(),
             n_processors=7,
             check_invariants=False,
-        )
+        ).run()
         return numa, all_global
 
     numa, all_global = once(benchmark, run)
-    assert all_global.total_user_us > numa.total_user_us * 1.15
+    assert all_global.user_time_us > numa.user_time_us * 1.15
 
 
 def test_mix_report(benchmark):

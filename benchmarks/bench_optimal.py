@@ -26,7 +26,7 @@ from repro.analysis.tracing import TraceCollector
 from repro.core.policies import MoveThresholdPolicy
 from repro.machine.config import ace_config
 from repro.machine.timing import TimingModel
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads import small_workloads
 
 from conftest import once, save_artifact
@@ -52,13 +52,13 @@ _ratios: Dict[str, float] = {}
 def _compare(name: str) -> OptimalComparison:
     workload = small_workloads()[name]
     trace = TraceCollector(keep_faults=False)
-    result = run_once(
+    result = build_simulation(
         workload,
         MoveThresholdPolicy(threshold=4),
         n_processors=7,
         observer=trace,
         check_invariants=False,
-    )
+    ).run()
     config = ace_config(7)
     timing = TimingModel(config.timing, config.page_size_words)
     return compare_to_optimal(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core.policies import MoveThresholdPolicy
 from repro.machine.config import ace_config
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.plytrace import PlyTrace
 
 from conftest import once, save_artifact
@@ -22,12 +22,12 @@ PAGE_SIZES = (512, 1024, 4096)
 
 def _alpha(page_words: int, padded: bool) -> float:
     config = ace_config(7, page_size_words=page_words)
-    result = run_once(
+    result = build_simulation(
         PlyTrace(n_polygons=1500, padded_framebuffer=padded),
         MoveThresholdPolicy(threshold=4),
         machine_config=config,
         check_invariants=False,
-    )
+    ).run()
     return result.measured_alpha
 
 

@@ -27,7 +27,7 @@ from repro.core.policies import (
     MoveThresholdPolicy,
     ReplicationOnlyPolicy,
 )
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.handoff import Handoff
 from repro.workloads.imatmult import IMatMult
 from repro.workloads.primes import Primes3
@@ -58,12 +58,12 @@ def test_policy_race(benchmark, workload_name):
     def race() -> Dict[str, float]:
         row = {}
         for policy_name, policy_factory in POLICY_FACTORIES.items():
-            result = run_once(
+            result = build_simulation(
                 WORKLOAD_FACTORIES[workload_name](),
                 policy_factory(),
                 n_processors=7,
                 check_invariants=False,
-            )
+            ).run()
             row[policy_name] = result.user_time_us + result.system_time_us
         return row
 

@@ -16,7 +16,7 @@ global memory anyway.
 from __future__ import annotations
 
 from repro.core.policies import MoveThresholdPolicy, PragmaPolicy
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.primes import Primes3
 
 from conftest import once, save_artifact
@@ -25,18 +25,18 @@ LIMIT = 400_000
 
 
 def _run_pair():
-    automatic = run_once(
+    automatic = build_simulation(
         Primes3(limit=LIMIT),
         MoveThresholdPolicy(threshold=4),
         n_processors=7,
         check_invariants=False,
-    )
-    pragmatic = run_once(
+    ).run()
+    pragmatic = build_simulation(
         Primes3(limit=LIMIT, use_pragmas=True),
         PragmaPolicy(MoveThresholdPolicy(threshold=4)),
         n_processors=7,
         check_invariants=False,
-    )
+    ).run()
     return automatic, pragmatic
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.policies import MoveThresholdPolicy, ReconsiderPolicy
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.gfetch import Gfetch
 from repro.workloads.imatmult import IMatMult
 from repro.workloads.primes import Primes2, Primes3
@@ -26,18 +26,18 @@ INTERVAL_US = 30_000.0
 
 
 def _pair(workload_factory, n_processors=7):
-    baseline = run_once(
+    baseline = build_simulation(
         workload_factory(),
         MoveThresholdPolicy(threshold=4),
         n_processors=n_processors,
         check_invariants=False,
-    )
-    reconsidered = run_once(
+    ).run()
+    reconsidered = build_simulation(
         workload_factory(),
         ReconsiderPolicy(threshold=4, interval_us=INTERVAL_US),
         n_processors=n_processors,
         check_invariants=False,
-    )
+    ).run()
     return baseline, reconsidered
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.policies import HomeNodePolicy, MoveThresholdPolicy
 from repro.core.policies.pragma import Pragma
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.lopsided import LopsidedSharing
 
 from conftest import once, save_artifact
@@ -33,18 +33,18 @@ _totals: Dict[float, Dict[str, float]] = {}
 
 
 def _run(share: float):
-    automatic = run_once(
+    automatic = build_simulation(
         LopsidedSharing(dominant_share=share),
         MoveThresholdPolicy(threshold=4),
         n_processors=7,
         check_invariants=False,
-    )
-    remote = run_once(
+    ).run()
+    remote = build_simulation(
         LopsidedSharing(dominant_share=share, pragma=Pragma.REMOTE),
         HomeNodePolicy(MoveThresholdPolicy(threshold=4)),
         n_processors=7,
         check_invariants=False,
-    )
+    ).run()
     return automatic, remote
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.sim.harness import RunResult, run_once
+from repro.sim.harness import RunResult, build_simulation
 from repro.core.policies import MoveThresholdPolicy
 from repro.workloads.handoff import Handoff
 from repro.workloads.imatmult import IMatMult
@@ -41,13 +41,13 @@ def test_threshold_sweep(benchmark, name):
         results: Dict[int, RunResult] = {}
         for threshold in THRESHOLDS:
             telemetry = maybe_telemetry()
-            results[threshold] = run_once(
+            results[threshold] = build_simulation(
                 _workload(name),
                 MoveThresholdPolicy(threshold=threshold),
                 n_processors=7,
                 check_invariants=False,
                 telemetry=telemetry,
-            )
+            ).run()
             save_telemetry(
                 f"threshold_sweep_{name}_t{threshold}",
                 telemetry,
@@ -110,14 +110,14 @@ def test_handoff_motivates_a_nonzero_threshold(benchmark):
     """Threshold 0 must lose to the default on the handoff pattern."""
 
     def run():
-        pinned_at_zero = run_once(
+        pinned_at_zero = build_simulation(
             Handoff(), MoveThresholdPolicy(threshold=0), n_processors=4,
             check_invariants=False,
-        )
-        default = run_once(
+        ).run()
+        default = build_simulation(
             Handoff(), MoveThresholdPolicy(threshold=4), n_processors=4,
             check_invariants=False,
-        )
+        ).run()
         return pinned_at_zero, default
 
     pinned_at_zero, default = once(benchmark, run)

@@ -25,7 +25,7 @@ import json
 
 from repro.core.policies import MoveThresholdPolicy
 from repro.machine.topology import resolve_machine
-from repro.sim.harness import build_simulation, run_engine
+from repro.sim.harness import build_simulation
 from repro.workloads.parmult import ParMult
 
 from conftest import once, save_artifact
@@ -42,8 +42,7 @@ def _run(machine_config):
         n_threads=N_THREADS,
         machine_config=machine_config,
     )
-    rounds = run_engine(sim.engine, sim.threads)
-    return sim.machine, rounds
+    return sim.machine, sim.run().rounds
 
 
 def _measure(placement):

@@ -42,9 +42,9 @@ def telemetry_enabled() -> bool:
 def maybe_telemetry(sample_interval: int = 32) -> Optional[Telemetry]:
     """A fresh :class:`Telemetry` when opted in via the env var, else None.
 
-    Benches pass the result straight to ``run_once``/``measure_placement``
-    (both accept ``telemetry=None``), so the default bench run stays
-    telemetry-free and costs nothing extra.
+    Benches pass the result straight to ``build_simulation`` or
+    ``measure_placement`` (both accept ``telemetry=None``), so the
+    default bench run stays telemetry-free and costs nothing extra.
     """
     if not telemetry_enabled():
         return None

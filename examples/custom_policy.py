@@ -17,7 +17,7 @@ the paper's move-threshold policy on the sieve workload:
 Run with:  python examples/custom_policy.py
 """
 
-from repro import MoveThresholdPolicy, NUMAPolicy, run_once
+from repro import MoveThresholdPolicy, NUMAPolicy, build_simulation
 from repro.core.state import AccessKind, PageLike, PlacementDecision
 from repro.workloads import Primes3
 
@@ -67,10 +67,10 @@ def main() -> None:
         FirstWriterPolicy(),
         RandomLikePolicy(),
     ):
-        result = run_once(
+        result = build_simulation(
             workload_factory(), policy, n_processors=7,
             check_invariants=False,
-        )
+        ).run()
         print(
             f"{policy.name:>16s} {result.user_time_s:>9.2f} "
             f"{result.system_time_s:>10.2f} "

@@ -13,7 +13,7 @@
 Run with:  python examples/false_sharing_tuning.py
 """
 
-from repro import MoveThresholdPolicy, run_once
+from repro import MoveThresholdPolicy, build_simulation
 from repro.analysis import TraceCollector, analyze
 from repro.workloads import Primes2
 
@@ -23,13 +23,13 @@ LIMIT = 100_000
 def run_variant(private_divisors: bool):
     workload = Primes2(limit=LIMIT, private_divisors=private_divisors)
     trace = TraceCollector(keep_faults=False)
-    result = run_once(
+    result = build_simulation(
         workload,
         MoveThresholdPolicy(threshold=4),
         n_processors=7,
         observer=trace,
         check_invariants=False,
-    )
+    ).run()
     return result, trace
 
 

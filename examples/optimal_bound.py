@@ -17,7 +17,7 @@ legitimate sharing.
 Run with:  python examples/optimal_bound.py
 """
 
-from repro import MoveThresholdPolicy, ace_config, run_once
+from repro import MoveThresholdPolicy, ace_config, build_simulation
 from repro.analysis import TraceCollector, compare_to_optimal
 from repro.analysis.optimal import protocol_cost_us
 from repro.machine.timing import TimingModel
@@ -33,13 +33,13 @@ def main() -> None:
           f"{'ratio':>6s}")
     for name, workload in sorted(small_workloads().items()):
         trace = TraceCollector(keep_faults=False)
-        result = run_once(
+        result = build_simulation(
             workload,
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             observer=trace,
             check_invariants=False,
-        )
+        ).run()
         comparison = compare_to_optimal(
             trace, timing, protocol_cost_us(result.stats, timing)
         )

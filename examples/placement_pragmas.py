@@ -10,7 +10,7 @@ pre-pin copying is Table 4's worst overhead (24.9% of user time).
 Run with:  python examples/placement_pragmas.py
 """
 
-from repro import MoveThresholdPolicy, PragmaPolicy, run_once
+from repro import MoveThresholdPolicy, PragmaPolicy, build_simulation
 from repro.workloads import Primes3
 
 
@@ -18,18 +18,18 @@ def main() -> None:
     limit = 600_000
     print("Primes3 with and without NONCACHEABLE pragmas (7 processors)\n")
 
-    automatic = run_once(
+    automatic = build_simulation(
         Primes3(limit=limit),
         MoveThresholdPolicy(threshold=4),
         n_processors=7,
         check_invariants=False,
-    )
-    pragmatic = run_once(
+    ).run()
+    pragmatic = build_simulation(
         Primes3(limit=limit, use_pragmas=True),
         PragmaPolicy(MoveThresholdPolicy(threshold=4)),
         n_processors=7,
         check_invariants=False,
-    )
+    ).run()
 
     def show(label, result):
         print(

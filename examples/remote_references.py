@@ -18,7 +18,7 @@ the dominant thread pays local rates (0.65 µs) and everyone else pays the
 Run with:  python examples/remote_references.py
 """
 
-from repro import MoveThresholdPolicy, run_once
+from repro import MoveThresholdPolicy, build_simulation
 from repro.core.policies import HomeNodePolicy
 from repro.core.policies.pragma import Pragma
 from repro.workloads import LopsidedSharing
@@ -29,18 +29,18 @@ def main() -> None:
     print(f"{'dominant share':>15s} {'automatic':>10s} {'remote':>10s} "
           f"{'winner':>10s}")
     for share in (0.2, 0.3, 0.4, 0.5, 0.7, 0.9):
-        automatic = run_once(
+        automatic = build_simulation(
             LopsidedSharing(dominant_share=share),
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
             check_invariants=False,
-        )
-        remote = run_once(
+        ).run()
+        remote = build_simulation(
             LopsidedSharing(dominant_share=share, pragma=Pragma.REMOTE),
             HomeNodePolicy(MoveThresholdPolicy(threshold=4)),
             n_processors=7,
             check_invariants=False,
-        )
+        ).run()
         auto_s = (automatic.user_time_us + automatic.system_time_us) / 1e6
         remote_s = (remote.user_time_us + remote.system_time_us) / 1e6
         winner = "remote" if remote_s < auto_s else "automatic"

@@ -39,7 +39,6 @@ from repro.sim.harness import (
     PlacementMeasurement,
     build_simulation,
     measure_placement,
-    run_once,
 )
 from repro.sim.result import RunResult
 from repro.workloads import TABLE_3_WORKLOADS, Workload
@@ -77,7 +76,6 @@ __all__ = [
     "PlacementMeasurement",
     "build_simulation",
     "measure_placement",
-    "run_once",
     "RunResult",
     "TABLE_3_WORKLOADS",
     "Workload",

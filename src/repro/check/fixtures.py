@@ -124,7 +124,7 @@ def _run_fixture(workload: _FixtureWorkload) -> RaceDetector:
         sim.numa, sim.engine.bus, raise_on_race=False
     )
     try:
-        sim.engine.run(sim.threads)
+        sim.run()
     finally:
         detach_detector(detector, sim.machine)
     return detector

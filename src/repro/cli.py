@@ -131,11 +131,9 @@ def _run_observed(
 
     Returns the built simulation and its result.
     """
-    from repro.sim.harness import collect_result, run_engine
-
     sim = spec.build()
     sim.engine.add_observer(observer)
-    return sim, collect_result(sim, run_engine(sim.engine, sim.threads))
+    return sim, sim.run()
 
 
 def _evaluation_from_args(args: argparse.Namespace):
@@ -202,15 +200,12 @@ def cmd_alpha(args: argparse.Namespace) -> None:
 def cmd_metrics(args: argparse.Namespace) -> None:
     """Telemetry for one workload: time series, histograms, profile."""
     from repro.obs import Telemetry
-    from repro.sim.harness import collect_result, run_engine
 
     [triple] = _triples(args, [args.workload])
     telemetry = Telemetry(sample_interval=args.sample_interval)
     sim = triple.tnuma.build()
-    telemetry.attach(sim.machine, sim.numa, sim.pool, sim.engine)
-    numa = collect_result(
-        sim, run_engine(sim.engine, sim.threads, telemetry)
-    )
+    sim.attach_telemetry(telemetry)
+    numa = sim.run()
     tglobal, tlocal = _run_specs(args, [triple.tglobal, triple.tlocal])
     meta = {
         "workload": numa.workload,
@@ -456,7 +451,7 @@ def cmd_advise(args: argparse.Namespace) -> None:
 
 def cmd_mix(args: argparse.Namespace) -> None:
     """Run two applications simultaneously and compare with standalone."""
-    from repro.sim.mix import run_mix
+    from repro.sim.harness import build_simulation
 
     specs = [
         triple.tnuma
@@ -467,26 +462,29 @@ def cmd_mix(args: argparse.Namespace) -> None:
     standalone = [
         outcome.result.user_time_us for outcome in _run_specs(args, specs)
     ]
-    mix = run_mix(
-        [spec.resolve_workload() for spec in specs],
+    workloads = [spec.resolve_workload() for spec in specs]
+    mix = build_simulation(
+        workloads,
         specs[0].resolve_policy(),
         n_processors=args.processors,
         check_invariants=False,
     )
-    for task, solo in zip(mix.tasks, standalone):
-        ratio = task.user_time_us / solo if solo else 0.0
+    mix.run()
+    for task, (workload, solo) in enumerate(zip(workloads, standalone)):
+        in_mix = mix.engine.task_user_us.get(task, 0.0)
+        ratio = in_mix / solo if solo else 0.0
         args.sink.add(
             {
                 "t": "mix",
-                "application": task.workload,
+                "application": workload.name,
                 "standalone_us": solo,
-                "in_mix_us": task.user_time_us,
+                "in_mix_us": in_mix,
                 "ratio": ratio,
             }
         )
         print(
-            f"  {task.workload:10s} standalone {solo / 1e6:8.3f}s   "
-            f"in mix {task.user_time_s:8.3f}s   ({ratio:.3f}x)"
+            f"  {workload.name:10s} standalone {solo / 1e6:8.3f}s   "
+            f"in mix {in_mix / 1e6:8.3f}s   ({ratio:.3f}x)"
         )
 
 

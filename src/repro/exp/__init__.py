@@ -58,7 +58,6 @@ from repro.exp.journal import (
     ReplayedBatch,
     journal_path_for,
 )
-from repro.exp.runner import default_jobs
 from repro.exp.supervise import (
     SupervisedRunner,
     SupervisorPolicy,
@@ -108,7 +107,6 @@ __all__ = [
     "seed_fan",
     "table3_grid",
     "threshold_grid",
-    "default_jobs",
     "SPEC_SCHEMA",
     "Outcome",
     "RunSpec",

@@ -251,10 +251,10 @@ def run_batch(
 ) -> BatchResult:
     """Execute *specs* with deduplication, caching, and fan-out.
 
-    Serial execution (``jobs=1``) runs in-process on exactly the path
-    the classic drivers take, so its results are bit-identical to
-    calling them directly; parallel execution is value-identical (the
-    simulations are deterministic and marshalled as plain dicts).
+    Serial execution (``jobs=1``) runs in-process on exactly the
+    ``spec.build().run()`` path, so its results are bit-identical to
+    running the specs directly; parallel execution is value-identical
+    (the simulations are deterministic and marshalled as plain dicts).
 
     Only fully declarative specs are cached — a spec that cannot be
     rebuilt from registries alone has no trustworthy identity.

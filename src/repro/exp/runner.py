@@ -13,7 +13,7 @@ run.
 
 ``jobs=1`` never touches a process pool: it executes in-process on
 exactly the code path :meth:`RunSpec.execute` always takes, so serial
-batches are bit-identical to calling the classic drivers directly.
+batches are bit-identical to ``spec.build().run()`` in-process.
 
 Scheduling details that matter for wall-clock (implemented by
 :class:`~repro.exp.supervise.SupervisedRunner` and
@@ -84,6 +84,14 @@ def warm_worker() -> None:
     import repro.workloads  # noqa: F401
 
 
-def default_jobs() -> int:
-    """A sensible ``--jobs`` default: the machine's CPU count."""
+def usable_cpus() -> int:
+    """How many CPUs this process may run on (at least 1).
+
+    Counts the scheduler affinity mask where the platform has one, so a
+    ``taskset``- or cpuset-restricted host is not oversubscribed, and
+    falls back to :func:`os.cpu_count` elsewhere (macOS).
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return max(1, len(affinity(0)))
     return max(1, os.cpu_count() or 1)

@@ -15,11 +15,11 @@ specs to worker processes and results back without ambiguity.
 A spec is pure data.  :meth:`RunSpec.build` resolves its registry
 names and hands them to :func:`repro.sim.harness.build_simulation`, the
 one wiring function every driver shares; :meth:`RunSpec.run` is
-``build`` → :func:`~repro.sim.harness.run_engine` →
-:func:`~repro.sim.harness.collect_result`.  Drivers that take in-memory
-workload or policy instances (``run_once``, ``run_mix``, ``run_chaos``)
-call ``build_simulation`` themselves rather than dressing the instances
-up as a spec.
+``build().run()``, the same :meth:`~repro.sim.harness.Simulation.run`
+step every driver takes.  Drivers that take in-memory workload or
+policy instances (single runs, mixes, ``run_chaos``) call
+``build_simulation(...).run()`` themselves rather than dressing the
+instances up as a spec.
 """
 
 from __future__ import annotations
@@ -298,9 +298,7 @@ class RunSpec:
 
     def run(self) -> RunResult:
         """Build, execute and collect one run."""
-        sim = self.build()
-        rounds = harness.run_engine(sim.engine, sim.threads)
-        return harness.collect_result(sim, rounds)
+        return self.build().run()
 
     def execute(self) -> "Outcome":
         """Run the spec purely from its declarative fields.

@@ -91,8 +91,9 @@ class SupervisorPolicy:
     seed: int = 0
     #: Pool recycles tolerated before falling back to serial execution.
     max_pool_recycles: int = 3
-    #: Clamp jobs to the host's cores, and degrade to in-process serial
-    #: execution when the pool keeps dying.
+    #: Clamp jobs to the CPUs this process may use (the affinity mask,
+    #: see :func:`repro.exp.runner.usable_cpus`), and degrade to
+    #: in-process serial execution when the pool keeps dying.
     auto_serial: bool = True
     #: Strict contract: first failure raises instead of retrying.
     raise_on_failure: bool = False
@@ -224,10 +225,12 @@ class SupervisedRunner:
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.jobs = jobs
         if self.policy.auto_serial:
+            from repro.exp.runner import usable_cpus
+
             # Fan-out on a starved host loses to the serial loop on
             # marshalling overhead alone; never run more workers than
-            # cores.
-            self.jobs_effective = max(1, min(jobs, os.cpu_count() or 1))
+            # the CPUs this process may use.
+            self.jobs_effective = min(jobs, usable_cpus())
         else:
             self.jobs_effective = jobs
         self._window = max(1, max_inflight_factor) * self.jobs_effective

@@ -23,7 +23,7 @@ from repro.core.policy import NUMAPolicy
 from repro.faults.injector import FaultInjector, RetryPolicy, make_injector
 from repro.machine.config import MachineConfig
 from repro.obs.telemetry import Telemetry
-from repro.sim.harness import build_simulation, run_engine
+from repro.sim.harness import build_simulation
 from repro.workloads.base import Workload
 
 
@@ -129,8 +129,8 @@ def run_chaos(
     doubled).  Any :class:`~repro.errors.ProtocolViolation` a recovery
     provokes propagates to the caller — a chaos run is a *test*.
     ``telemetry`` attaches the standard facade, so chaos runs get the
-    same profiled ``engine_run`` span and finalized gauges as
-    :func:`~repro.sim.harness.run_once`.  ``detector`` attaches a
+    same profiled ``engine_run`` span and finalized gauges as every
+    :meth:`~repro.sim.harness.Simulation.run`.  ``detector`` attaches a
     caller-owned (typically collecting) :class:`RaceDetector`; without
     one, sanitized runs still race-check through the sanitizer's own
     raising detector, and either way the ``races_*`` counters land in
@@ -156,7 +156,7 @@ def run_chaos(
         attach_detector(sim.numa, sim.engine.bus, detector=race_detector)
     elif sanitizer is not None:
         race_detector = sanitizer.races
-    rounds = run_engine(sim.engine, sim.threads, telemetry)
+    rounds = sim.run().rounds
     if race_detector is not None and telemetry is not None:
         race_detector.publish_metrics(telemetry.registry)
     machine = sim.machine

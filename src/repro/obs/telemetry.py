@@ -5,7 +5,7 @@ attached to a simulation) a per-round sampler and the standard
 :class:`MetricsObserver`.  The harness attaches it with one call::
 
     telemetry = Telemetry()
-    result = run_once(workload, policy, telemetry=telemetry)
+    result = build_simulation(workload, policy, telemetry=telemetry).run()
     write_jsonl(telemetry.to_records(), "out.jsonl")
 
 Everything here observes; nothing charges simulated time, so a run's
@@ -116,8 +116,8 @@ class Telemetry:
         """Wire this telemetry into a built simulation.
 
         Subscribes the metrics observer and a fresh round sampler to the
-        engine's event bus and installs the profiler; called by
-        :func:`repro.sim.harness.build_simulation`.
+        engine's event bus and installs the profiler; called through
+        :meth:`repro.sim.harness.Simulation.attach_telemetry`.
         """
         self.sampler = RoundSampler(
             machine, numa, pool, interval=self._sample_interval
@@ -132,8 +132,8 @@ class Telemetry:
         """Fill the end-of-run instruments (idempotent).
 
         Gauges and the page move-count histogram only make sense once
-        the run is over; :func:`repro.sim.harness.run_once` calls this
-        after the engine finishes.
+        the run is over; :meth:`repro.sim.harness.Simulation.run` calls
+        this after the engine finishes.
         """
         if self._finalized or self._machine is None:
             return
@@ -176,7 +176,6 @@ class Telemetry:
         self, meta: Optional[Dict[str, object]] = None
     ) -> List[Dict[str, object]]:
         """Everything as flat records: meta, samples, metrics, phases."""
-        self.finalize()
         records: List[Dict[str, object]] = []
         if meta is not None:
             record: Dict[str, object] = {"t": "meta"}

@@ -1,13 +1,11 @@
 """Simulation engine, operations, and the run/measure harness."""
 
 from repro.sim.engine import Engine, EngineObserver
-from repro.sim.mix import MixResult, TaskResult, run_mix
 from repro.sim.harness import (
     PlacementMeasurement,
     Simulation,
     build_simulation,
     measure_placement,
-    run_once,
 )
 from repro.sim.ops import (
     Barrier,
@@ -26,10 +24,6 @@ __all__ = [
     "Simulation",
     "build_simulation",
     "measure_placement",
-    "run_once",
-    "MixResult",
-    "TaskResult",
-    "run_mix",
     "Barrier",
     "Compute",
     "FreeObjectPages",

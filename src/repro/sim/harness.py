@@ -1,23 +1,28 @@
 """High-level run harness: build, run, and measure workloads.
 
-:func:`run_once` wires a workload, a policy and a machine together and
-returns a :class:`~repro.sim.result.RunResult`.  :func:`measure_placement`
-performs the paper's full Section 3.1 methodology for one application:
+:func:`build_simulation` is the one function that wires a simulation:
+it constructs the :class:`~repro.machine.machine.Machine`, the
+:class:`~repro.core.numa_manager.NUMAManager` and the
+:class:`~repro.sim.engine.Engine` for single runs, multiprogrammed
+mixes, chaos runs and declarative :class:`~repro.exp.spec.RunSpec`
+executions alike, so every capability it has — machine-bound policies,
+the sanitizer, fault injection, scheduler factories, the TLB fast path —
+reaches every driver.  Every parameter after ``(workload, policy)`` is
+keyword-only.  :meth:`Simulation.run` is the one step that runs what it
+wired::
+
+    result = build_simulation(workload, policy, n_processors=4).run()
+
+A mix is the same call with a list of workloads; per-task user time is
+read from ``sim.engine.task_user_us`` after the run.
+
+:func:`measure_placement` performs the paper's full Section 3.1
+methodology for one application:
 
 * ``Tnuma`` — the real policy on an N-processor machine;
 * ``Tglobal`` — the all-writable-data-in-global baseline, same machine;
 * ``Tlocal`` — a single thread on a single-processor machine, everything
   local.
-
-:func:`build_simulation` is the one function that wires a simulation:
-it constructs the :class:`~repro.machine.machine.Machine`, the
-:class:`~repro.core.numa_manager.NUMAManager` and the
-:class:`~repro.sim.engine.Engine` for single runs, multiprogrammed
-mixes (:func:`repro.sim.mix.run_mix`), chaos runs and declarative
-:class:`~repro.exp.spec.RunSpec` executions alike, so every capability
-it has — machine-bound policies, the sanitizer, fault injection,
-scheduler factories, the TLB fast path — reaches every driver.  Every
-driver parameter after ``(workload, policy)`` is keyword-only.
 """
 
 from __future__ import annotations
@@ -65,6 +70,9 @@ class Simulation:
     #: the environment opted this process in (``None`` otherwise).
     #: Chaos runs reuse it instead of attaching a second instance.
     sanitizer: object = None
+    #: The attached :class:`~repro.obs.telemetry.Telemetry`, if any;
+    #: :meth:`run` profiles the engine under it and finalizes it.
+    telemetry: Optional[Telemetry] = None
 
     @property
     def context(self) -> BuildContext:
@@ -76,10 +84,55 @@ class Simulation:
         """The first task's address space (a single run's only one)."""
         return self.contexts[0].space
 
+    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        """Subscribe *telemetry* to this simulation before :meth:`run`."""
+        telemetry.attach(self.machine, self.numa, self.pool, self.engine)
+        self.telemetry = telemetry
+
+    def run(self) -> RunResult:
+        """Run the threads to completion and collect the result.
+
+        With telemetry attached, the engine runs inside the profiler's
+        ``engine_run`` span and the end-of-run instruments are
+        finalized afterwards — the same way for every driver.
+        """
+        telemetry = self.telemetry
+        if telemetry is None:
+            rounds = self.engine.run(self.threads)
+        else:
+            with telemetry.profiler.span("engine_run"):
+                rounds = self.engine.run(self.threads)
+            telemetry.finalize()
+        machine = self.machine
+        per_cpu = [
+            CPUTimes(
+                cpu=c.id, user_us=c.user_time_us, system_us=c.system_time_us
+            )
+            for c in machine.cpus
+        ]
+        data_refs = machine.cpus[0].data_refs
+        all_refs = machine.cpus[0].all_refs
+        for c in machine.cpus[1:]:
+            data_refs = data_refs.merged_with(c.data_refs)
+            all_refs = all_refs.merged_with(c.all_refs)
+        return RunResult(
+            workload=self.context.space.name,
+            policy=self.numa.policy.name,
+            n_processors=machine.n_cpus,
+            n_threads=len(self.threads),
+            per_cpu=per_cpu,
+            stats=self.numa.stats,
+            data_refs=data_refs,
+            all_refs=all_refs,
+            rounds=rounds,
+            migrations=self.engine.scheduler.migrations(),
+        )
+
 
 def build_simulation(
     workload: Union[Workload, Sequence[Workload]],
     policy: NUMAPolicy,
+    *,
     n_processors: int = 7,
     n_threads: Optional[int] = None,
     machine_config: Optional[MachineConfig] = None,
@@ -181,15 +234,7 @@ def build_simulation(
         injector.bind(machine, engine.bus)
         numa.injector = injector
         engine.injector = injector
-    if telemetry is not None:
-        telemetry.attach(machine, numa, pool, engine)
-    if sanitize is None:
-        sanitizer = maybe_attach_sanitizer(numa, engine.bus)
-    elif sanitize:
-        sanitizer = attach_sanitizer(numa, engine.bus)
-    else:
-        sanitizer = None
-    return Simulation(
+    sim = Simulation(
         machine=machine,
         numa=numa,
         pool=pool,
@@ -197,81 +242,14 @@ def build_simulation(
         engine=engine,
         threads=threads,
         contexts=contexts,
-        sanitizer=sanitizer,
     )
-
-
-def run_engine(engine, threads, telemetry: Optional[Telemetry] = None) -> int:
-    """Run *threads* to completion, with uniform telemetry handling.
-
-    Every driver — single runs, mixes, chaos runs, batched specs — goes
-    through this helper, so ``engine_run`` profiler spans and
-    :meth:`~repro.obs.telemetry.Telemetry.finalize` happen the same way
-    everywhere instead of only on :func:`run_once`'s telemetry branch.
-    """
     if telemetry is not None:
-        with telemetry.profiler.span("engine_run"):
-            rounds = engine.run(threads)
-        telemetry.finalize()
-        return rounds
-    return engine.run(threads)
-
-
-def collect_result(sim: Simulation, rounds: int) -> RunResult:
-    """Assemble the :class:`RunResult` for a finished simulation."""
-    machine = sim.machine
-    per_cpu = [
-        CPUTimes(cpu=c.id, user_us=c.user_time_us, system_us=c.system_time_us)
-        for c in machine.cpus
-    ]
-    data_refs = machine.cpus[0].data_refs
-    all_refs = machine.cpus[0].all_refs
-    for c in machine.cpus[1:]:
-        data_refs = data_refs.merged_with(c.data_refs)
-        all_refs = all_refs.merged_with(c.all_refs)
-    return RunResult(
-        workload=sim.context.space.name,
-        policy=sim.numa.policy.name,
-        n_processors=machine.n_cpus,
-        n_threads=len(sim.threads),
-        per_cpu=per_cpu,
-        stats=sim.numa.stats,
-        data_refs=data_refs,
-        all_refs=all_refs,
-        rounds=rounds,
-        migrations=sim.engine.scheduler.migrations(),
-    )
-
-
-def run_once(
-    workload: Workload,
-    policy: NUMAPolicy,
-    *,
-    n_processors: int = 7,
-    n_threads: Optional[int] = None,
-    machine_config: Optional[MachineConfig] = None,
-    scheduler_factory: Optional[SchedulerFactory] = None,
-    unix_master: Optional[UnixMaster] = None,
-    observer: Optional[EngineObserver] = None,
-    check_invariants: bool = True,
-    telemetry: Optional[Telemetry] = None,
-    fast_path: bool = True,
-) -> RunResult:
-    """Run *workload* under *policy* and collect the result."""
-    sim = build_simulation(
-        workload,
-        policy,
-        n_processors=n_processors,
-        n_threads=n_threads,
-        machine_config=machine_config,
-        scheduler_factory=scheduler_factory,
-        unix_master=unix_master,
-        observer=observer,
-        check_invariants=check_invariants,
-        telemetry=telemetry,
-        fast_path=fast_path,
-    )
-    return collect_result(sim, run_engine(sim.engine, sim.threads, telemetry))
+        sim.attach_telemetry(telemetry)
+    if sanitize is None:
+        sim.sanitizer = maybe_attach_sanitizer(numa, engine.bus)
+    elif sanitize:
+        sim.sanitizer = attach_sanitizer(numa, engine.bus)
+    return sim
 
 
 @dataclass(frozen=True)
@@ -336,7 +314,7 @@ def measure_placement(
     )
 
     def run(spec, config, spec_telemetry=None) -> RunResult:
-        return run_once(
+        return build_simulation(
             workload,
             spec.resolve_policy(),
             n_processors=spec.n_processors,
@@ -345,7 +323,7 @@ def measure_placement(
             check_invariants=spec.check_invariants,
             telemetry=spec_telemetry,
             fast_path=spec.fast_path,
-        )
+        ).run()
 
     return PlacementMeasurement(
         workload=workload.name,

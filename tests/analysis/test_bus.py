@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.bus import BUS_WORD_US, BusReport, analyze_bus
 from repro.core.policies import AllGlobalPolicy, MoveThresholdPolicy
 from repro.machine.config import ace_config
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.gfetch import Gfetch
 from repro.workloads.primes import Primes1
 
@@ -44,27 +44,27 @@ class TestBusReport:
 
 class TestAnalyzeBus:
     def test_local_only_run_has_no_reference_traffic(self):
-        result = run_once(
+        result = build_simulation(
             Primes1.small(),
             MoveThresholdPolicy(threshold=4),
             n_processors=1,
             n_threads=1,
-        )
+        ).run()
         report = analyze_bus(result, ace_config(1))
         assert report.reference_words == 0
 
     def test_gfetch_is_the_bus_hog(self):
         config = ace_config(7)
         gfetch = analyze_bus(
-            run_once(
+            build_simulation(
                 Gfetch.small(), MoveThresholdPolicy(threshold=4), n_processors=7
-            ),
+            ).run(),
             config,
         )
         primes = analyze_bus(
-            run_once(
+            build_simulation(
                 Primes1.small(), MoveThresholdPolicy(threshold=4), n_processors=7
-            ),
+            ).run(),
             config,
         )
         assert gfetch.utilization > primes.utilization * 3
@@ -72,21 +72,23 @@ class TestAnalyzeBus:
     def test_all_global_policy_increases_bus_traffic(self):
         config = ace_config(4)
         numa = analyze_bus(
-            run_once(
+            build_simulation(
                 Primes1.small(), MoveThresholdPolicy(threshold=4), n_processors=4
-            ),
+            ).run(),
             config,
         )
         all_global = analyze_bus(
-            run_once(Primes1.small(), AllGlobalPolicy(), n_processors=4),
+            build_simulation(
+                Primes1.small(), AllGlobalPolicy(), n_processors=4
+            ).run(),
             config,
         )
         assert all_global.reference_words > numa.reference_words * 10
 
     def test_protocol_words_include_copies(self):
-        result = run_once(
+        result = build_simulation(
             Gfetch.small(), MoveThresholdPolicy(threshold=4), n_processors=4
-        )
+        ).run()
         report = analyze_bus(result, ace_config(4))
         expected = (
             result.stats.copies_to_local

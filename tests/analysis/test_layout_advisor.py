@@ -29,7 +29,7 @@ def run_traced(workload, n_processors=7):
     sim = build_simulation(
         workload,
         MoveThresholdPolicy(threshold=4),
-        n_processors,
+        n_processors=n_processors,
         observer=trace,
         check_invariants=False,
     )

@@ -11,7 +11,7 @@ from repro.analysis.tracing import RefEvent, TraceCollector
 from repro.core.policies import MoveThresholdPolicy
 from repro.machine.config import MachineConfig, TimingParameters
 from repro.machine.timing import MemoryLocation, TimingModel
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads import small_workloads
 
 
@@ -101,12 +101,12 @@ class TestCompareToOptimal:
     def test_policy_is_never_better_than_the_bound(self, name):
         workload = small_workloads()[name]
         trace = TraceCollector()
-        result = run_once(
+        result = build_simulation(
             workload,
             MoveThresholdPolicy(threshold=4),
             n_processors=4,
             observer=trace,
-        )
+        ).run()
         config = MachineConfig(n_processors=4)
         comparison = compare_to_optimal(
             trace,
@@ -121,12 +121,12 @@ class TestCompareToOptimal:
         best any placement could do."""
         workload = small_workloads()["IMatMult"]
         trace = TraceCollector()
-        result = run_once(
+        result = build_simulation(
             workload,
             MoveThresholdPolicy(threshold=4),
             n_processors=4,
             observer=trace,
-        )
+        ).run()
         config = MachineConfig(n_processors=4)
         comparison = compare_to_optimal(
             trace,

@@ -14,7 +14,7 @@ from repro.core.state import AccessKind
 from repro.errors import ConfigurationError
 from repro.exp.spec import RunSpec
 from repro.machine.timing import MemoryLocation
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.primes import Primes1
 
 
@@ -67,9 +67,9 @@ class TestSpeedupCurve:
             speedup_curve(_quick("Primes1"), processors=(0, 2))
 
     def test_elapsed_is_busiest_processor(self):
-        result = run_once(
+        result = build_simulation(
             Primes1.small(), MoveThresholdPolicy(threshold=4), n_processors=3
-        )
+        ).run()
         assert elapsed_us(result) == max(
             t.total_us for t in result.per_cpu
         )
@@ -105,12 +105,12 @@ class TestTracePersistence:
 
     def test_analyses_work_on_loaded_traces(self, tmp_path):
         trace = TraceCollector()
-        run_once(
+        build_simulation(
             Primes1.small(),
             MoveThresholdPolicy(threshold=4),
             n_processors=3,
             observer=trace,
-        )
+        ).run()
         path = tmp_path / "primes1.jsonl"
         trace.save_jsonl(path)
         loaded = TraceCollector.load_jsonl(path)

@@ -7,7 +7,7 @@ from repro.analysis.tracing import TraceCollector
 from repro.core.policies import MoveThresholdPolicy
 from repro.core.state import AccessKind
 from repro.machine.timing import MemoryLocation
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.plytrace import PlyTrace
 from repro.workloads.primes import Primes2
 
@@ -129,12 +129,12 @@ class TestOnRealWorkloads:
         vector a false-sharing suspect zone (mostly-read, rarely-written
         pages classified writably shared)."""
         trace = TraceCollector()
-        run_once(
+        build_simulation(
             Primes2(limit=6_000, private_divisors=False),
             MoveThresholdPolicy(threshold=4),
             n_processors=4,
             observer=trace,
-        )
+        ).run()
         report = analyze(trace)
         assert len(report.writably_shared_pages) > 0
         assert len(report.suspects) >= 0  # analysis completes
@@ -142,10 +142,10 @@ class TestOnRealWorkloads:
     def test_packed_plytrace_has_more_writably_shared_pages(self):
         def shared_pages(workload):
             trace = TraceCollector()
-            run_once(
+            build_simulation(
                 workload, MoveThresholdPolicy(threshold=4), n_processors=4,
                 observer=trace,
-            )
+            ).run()
             return len(analyze(trace).writably_shared_pages)
 
         padded = shared_pages(PlyTrace.small())

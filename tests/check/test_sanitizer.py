@@ -63,7 +63,9 @@ class TestEnablement:
 class TestCleanWorkloadRun:
     def test_small_workload_passes_sanitized(self):
         wl = small_workloads()["ParMult"]
-        sim = build_simulation(wl, MoveThresholdPolicy(threshold=4), 4)
+        sim = build_simulation(
+            wl, MoveThresholdPolicy(threshold=4), n_processors=4
+        )
         sanitizer = attach_sanitizer(sim.numa, sim.engine.bus)
         try:
             sim.engine.run(sim.threads)
@@ -80,7 +82,9 @@ class TestCleanWorkloadRun:
 
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         wl = small_workloads()["ParMult"]
-        sim = build_simulation(wl, MoveThresholdPolicy(threshold=4), 4)
+        sim = build_simulation(
+            wl, MoveThresholdPolicy(threshold=4), n_processors=4
+        )
         try:
             # The harness installed the sanitizer as a lock observer.
             assert isinstance(sim.sanitizer, ProtocolSanitizer)

@@ -10,7 +10,7 @@ from repro.core.policies import (
 )
 from repro.core.state import AccessKind, PageState
 from repro.machine.memory import FrameKind
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.vm.vm_object import shared_object
 from repro.workloads.handoff import Handoff
 from repro.workloads.imatmult import IMatMult
@@ -120,49 +120,49 @@ class TestEndToEndShape:
         from repro.workloads.primes import Primes3
 
         workload = Primes3.small()
-        paper = run_once(
+        paper = build_simulation(
             workload, MoveThresholdPolicy(threshold=4), n_processors=4,
             check_invariants=False,
-        )
-        migration = run_once(
+        ).run()
+        migration = build_simulation(
             Primes3.small(), MigrationOnlyPolicy(), n_processors=4,
             check_invariants=False,
-        )
+        ).run()
         assert migration.system_time_us > 3 * paper.system_time_us
 
     def test_replication_only_loses_the_handoff(self):
-        paper = run_once(
+        paper = build_simulation(
             Handoff.small(), MoveThresholdPolicy(threshold=4), n_processors=4,
             check_invariants=False,
-        )
-        replication = run_once(
+        ).run()
+        replication = build_simulation(
             Handoff.small(), ReplicationOnlyPolicy(), n_processors=4,
             check_invariants=False,
-        )
+        ).run()
         assert replication.user_time_us > 1.2 * paper.user_time_us
 
     def test_migration_only_matches_paper_on_private_data(self):
         from repro.workloads.primes import Primes1
 
-        paper = run_once(
+        paper = build_simulation(
             Primes1.small(), MoveThresholdPolicy(threshold=4), n_processors=4,
             check_invariants=False,
-        )
-        migration = run_once(
+        ).run()
+        migration = build_simulation(
             Primes1.small(), MigrationOnlyPolicy(), n_processors=4,
             check_invariants=False,
-        )
+        ).run()
         assert migration.user_time_us == pytest.approx(
             paper.user_time_us, rel=0.05
         )
 
     def test_replication_only_matches_paper_on_read_sharing(self):
-        paper = run_once(
+        paper = build_simulation(
             IMatMult.small(), MoveThresholdPolicy(threshold=4), n_processors=4,
             check_invariants=False,
-        )
-        replication = run_once(
+        ).run()
+        replication = build_simulation(
             IMatMult.small(), ReplicationOnlyPolicy(), n_processors=4,
             check_invariants=False,
-        )
+        ).run()
         assert replication.user_time_us <= paper.user_time_us * 1.05

@@ -242,9 +242,9 @@ class TestPoolSupervision:
         assert stats.pool_recycles == 1
 
     def test_jobs_clamp_to_host_cores_under_auto_serial(self):
-        import os
+        from repro.exp.runner import usable_cpus
 
-        cores = os.cpu_count() or 1
+        cores = usable_cpus()
         runner = SupervisedRunner(
             jobs=cores + 8, policy=SupervisorPolicy(auto_serial=True)
         )
@@ -253,6 +253,19 @@ class TestPoolSupervision:
             jobs=cores + 8, policy=SupervisorPolicy(auto_serial=False)
         )
         assert unclamped.jobs_effective == cores + 8
+
+    def test_jobs_clamp_counts_the_affinity_mask(self, monkeypatch):
+        """A taskset/cpuset-restricted process gets no more workers
+        than the CPUs it may run on, however many the host has."""
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        runner = SupervisedRunner(
+            jobs=4, policy=SupervisorPolicy(auto_serial=True)
+        )
+        assert runner.jobs_effective == 1
 
     def test_strict_pool_failure_carries_spec_context(self):
         runner = SupervisedRunner(

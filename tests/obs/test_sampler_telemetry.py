@@ -6,7 +6,7 @@ from repro.core.policies import MoveThresholdPolicy
 from repro.core.stats import NUMAStats
 from repro.errors import ConfigurationError
 from repro.obs import RoundSampler, Telemetry
-from repro.sim.harness import run_once
+from repro.sim.harness import build_simulation
 from repro.workloads import small_workloads
 
 
@@ -16,13 +16,13 @@ def small(name):
 
 def run_with_telemetry(name, interval=8, processors=3, threshold=4):
     telemetry = Telemetry(sample_interval=interval)
-    result = run_once(
+    result = build_simulation(
         small(name),
         MoveThresholdPolicy(threshold=threshold),
         n_processors=processors,
         check_invariants=False,
         telemetry=telemetry,
-    )
+    ).run()
     return result, telemetry
 
 
@@ -86,12 +86,12 @@ class TestTelemetryNeutrality:
 
     @pytest.mark.parametrize("name", ["ParMult", "Primes2", "FFT"])
     def test_simulated_times_identical_with_and_without(self, name):
-        plain = run_once(
+        plain = build_simulation(
             small(name),
             MoveThresholdPolicy(threshold=4),
             n_processors=3,
             check_invariants=False,
-        )
+        ).run()
         observed, _ = run_with_telemetry(name, interval=4)
         assert observed.user_time_us == plain.user_time_us
         assert observed.system_time_us == plain.system_time_us

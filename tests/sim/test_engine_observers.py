@@ -9,7 +9,7 @@ from repro.vm.vm_object import shared_object
 from tests.conftest import make_rig
 
 
-def run_engine(rig, bodies, **kwargs):
+def run_bodies(rig, bodies, **kwargs):
     engine = Engine(
         rig.machine,
         rig.faults,
@@ -40,7 +40,7 @@ class TestBusEvents:
     def test_round_end_emitted_per_round(self):
         rig = make_rig()
         watcher = RoundWatcher()
-        engine = run_engine(
+        engine = run_bodies(
             rig,
             [iter([Compute(1.0), Compute(1.0)])],
             bus=EventBus([watcher]),
@@ -50,7 +50,7 @@ class TestBusEvents:
     def test_run_end_reports_round_count(self):
         rig = make_rig()
         watcher = RoundWatcher()
-        engine = run_engine(
+        engine = run_bodies(
             rig, [iter([Compute(1.0)])], bus=EventBus([watcher])
         )
         assert watcher.run_end == engine.rounds
@@ -81,7 +81,7 @@ class TestBusEvents:
 
         watcher = LatencyWatcher()
         region = rig.space.map_object(shared_object("d", 1))
-        run_engine(
+        run_bodies(
             rig,
             [iter([MemBlock(region.vpage_at(0), reads=1)])],
             bus=EventBus([watcher]),
@@ -91,5 +91,5 @@ class TestBusEvents:
 
     def test_unobserved_run_has_empty_bus(self):
         rig = make_rig()
-        engine = run_engine(rig, [iter([Compute(1.0)])])
+        engine = run_bodies(rig, [iter([Compute(1.0)])])
         assert len(engine.bus) == 0

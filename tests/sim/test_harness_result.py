@@ -7,12 +7,13 @@ from repro.exp.grid import placement_specs
 from repro.exp.spec import RunSpec
 from repro.machine.config import MachineConfig
 from repro.machine.timing import MemoryLocation
-from repro.sim.harness import build_simulation, measure_placement, run_once
+from repro.sim.harness import build_simulation, measure_placement
 from repro.sim.ops import Compute, MemBlock
 from repro.sim.result import CPUTimes, RunResult
 from repro.core.stats import NUMAStats
 from repro.machine.cpu import ReferenceCounters
 from repro.threads.scheduler import GlobalQueueScheduler
+from repro.workloads import TABLE_3_WORKLOADS
 from repro.workloads.base import Workload
 from repro.workloads.layout import LayoutBuilder
 from repro.workloads.parmult import ParMult
@@ -42,7 +43,9 @@ class MiniWorkload(Workload):
 
 class TestRunOnce:
     def test_returns_populated_result(self):
-        result = run_once(MiniWorkload(), MoveThresholdPolicy(threshold=4), n_processors=3)
+        result = build_simulation(
+            MiniWorkload(), MoveThresholdPolicy(threshold=4), n_processors=3
+        ).run()
         assert isinstance(result, RunResult)
         assert result.workload == "mini"
         assert result.n_processors == 3
@@ -52,51 +55,71 @@ class TestRunOnce:
         assert result.rounds > 0
 
     def test_thread_count_defaults_to_processors(self):
-        result = run_once(MiniWorkload(), MoveThresholdPolicy(threshold=4), n_processors=2)
+        result = build_simulation(
+            MiniWorkload(), MoveThresholdPolicy(threshold=4), n_processors=2
+        ).run()
         assert result.n_threads == 2
 
     def test_explicit_machine_config(self):
         config = MachineConfig(
             n_processors=2, local_pages_per_cpu=32, global_pages=64
         )
-        result = run_once(
+        result = build_simulation(
             MiniWorkload(), MoveThresholdPolicy(threshold=4), machine_config=config
-        )
+        ).run()
         assert result.n_processors == 2
 
     def test_custom_scheduler_migrations_reported(self):
-        result = run_once(
+        result = build_simulation(
             MiniWorkload(),
             MoveThresholdPolicy(threshold=4),
             n_processors=3,
             scheduler_factory=lambda n: GlobalQueueScheduler(n, 5),
-        )
+        ).run()
         assert result.migrations > 0
 
     def test_build_simulation_exposes_parts(self):
-        sim = build_simulation(MiniWorkload(), MoveThresholdPolicy(threshold=4), 2)
+        sim = build_simulation(
+            MiniWorkload(), MoveThresholdPolicy(threshold=4), n_processors=2
+        )
         assert sim.machine.n_cpus == 2
         assert len(sim.threads) == 2
         assert sim.context.n_threads == 2
 
     def test_matches_declarative_spec_byte_for_byte(self):
-        direct = run_once(
+        direct = build_simulation(
             ParMult.small(), MoveThresholdPolicy(threshold=4), n_processors=2
-        )
+        ).run()
         spec = RunSpec(workload="ParMult", quick=True, n_processors=2)
         assert direct.to_json() == spec.run().to_json()
 
+    @pytest.mark.parametrize("name", sorted(TABLE_3_WORKLOADS))
+    def test_every_paper_program_matches_its_spec(self, name):
+        """A direct run and the spec's own execution agree byte for
+        byte on all eight Table 3 programs."""
+        spec = RunSpec(workload=name, quick=True, n_processors=2)
+        direct = build_simulation(
+            spec.resolve_workload(), spec.resolve_policy(), n_processors=2
+        ).run()
+        assert direct.to_json() == spec.execute().result.to_json()
+
     def test_non_registry_policy_instances_still_run(self):
-        result = run_once(ParMult.small(), AllGlobalPolicy(), n_processors=2)
+        result = build_simulation(
+            ParMult.small(), AllGlobalPolicy(), n_processors=2
+        ).run()
         assert result.policy == AllGlobalPolicy().name
 
     def test_unknown_keyword_is_an_error(self):
         with pytest.raises(TypeError, match="surprise"):
-            run_once(MiniWorkload(), MoveThresholdPolicy(threshold=4), surprise=1)
+            build_simulation(
+                MiniWorkload(), MoveThresholdPolicy(threshold=4), surprise=1
+            )
 
     def test_options_are_keyword_only(self):
         with pytest.raises(TypeError, match="positional"):
-            run_once(MiniWorkload(), MoveThresholdPolicy(threshold=4), 2)
+            build_simulation(
+                MiniWorkload(), MoveThresholdPolicy(threshold=4), 2
+            )
         with pytest.raises(TypeError, match="positional"):
             measure_placement(MiniWorkload(), 2)
 

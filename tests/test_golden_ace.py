@@ -55,10 +55,10 @@ class TestGoldenChaos:
 class TestGoldenRunOnce:
     def test_simulated_times_unchanged(self):
         from repro.core.policies import MoveThresholdPolicy
-        from repro.sim.harness import run_once
+        from repro.sim.harness import build_simulation
         from repro.workloads.parmult import ParMult
 
-        result = run_once(ParMult.small(), MoveThresholdPolicy())
+        result = build_simulation(ParMult.small(), MoveThresholdPolicy()).run()
         assert result.user_time_us == 14814.74
         assert result.system_time_us == 15431.744000000004
         assert result.rounds == 5

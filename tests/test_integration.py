@@ -6,7 +6,6 @@ from repro import (
     MoveThresholdPolicy,
     ace_config,
     measure_placement,
-    run_once,
     solve_model,
 )
 from repro.analysis import (
@@ -32,12 +31,12 @@ class TestFullPipeline:
         """One run feeds every analysis without re-simulation."""
         config = ace_config(4)
         trace = TraceCollector()
-        result = run_once(
+        result = build_simulation(
             Primes3.small(),
             MoveThresholdPolicy(threshold=4),
             n_processors=4,
             observer=trace,
-        )
+        ).run()
         # False-sharing classification.
         sharing = analyze(trace)
         assert sharing.writably_shared_pages
@@ -63,7 +62,9 @@ class TestFullPipeline:
 
     def test_every_application_final_state_is_consistent(self):
         for name, workload in small_workloads().items():
-            sim = build_simulation(workload, MoveThresholdPolicy(threshold=4), 4)
+            sim = build_simulation(
+                workload, MoveThresholdPolicy(threshold=4), n_processors=4
+            )
             sim.engine.run(sim.threads)
             sim.numa.check_all_invariants()
             # No frame leaks relative to live pages.
@@ -99,7 +100,11 @@ class TestDeterminismAcrossTheBoard:
     @pytest.mark.parametrize("name", sorted(small_workloads()))
     def test_two_identical_runs_agree_exactly(self, name):
         workload = small_workloads()[name]
-        first = run_once(workload, MoveThresholdPolicy(threshold=4), n_processors=4)
-        second = run_once(workload, MoveThresholdPolicy(threshold=4), n_processors=4)
+        first = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=4
+        ).run()
+        second = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=4
+        ).run()
         assert first.user_time_us == second.user_time_us
         assert first.stats.as_dict() == second.stats.as_dict()

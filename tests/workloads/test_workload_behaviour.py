@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies import MoveThresholdPolicy
 from repro.core.state import PageState
-from repro.sim.harness import build_simulation, run_once
+from repro.sim.harness import build_simulation
 from repro.workloads.fft import FFT
 from repro.workloads.gfetch import Gfetch
 from repro.workloads.imatmult import IMatMult
@@ -21,7 +21,9 @@ from repro.workloads.primes import (
 
 
 def run_and_inspect(workload, n_processors=4):
-    sim = build_simulation(workload, MoveThresholdPolicy(threshold=4), n_processors)
+    sim = build_simulation(
+        workload, MoveThresholdPolicy(threshold=4), n_processors=n_processors
+    )
     sim.engine.run(sim.threads)
     return sim
 
@@ -64,9 +66,9 @@ class TestPrimesHelpers:
 
 class TestParMult:
     def test_negligible_data_traffic(self):
-        result = run_once(
+        result = build_simulation(
             ParMult.small(), MoveThresholdPolicy(threshold=4), n_processors=4
-        )
+        ).run()
         assert result.data_refs.total() <= 2 * 8 + 4  # ~2 refs per chunk
 
     def test_rejects_bad_sizes(self):
@@ -83,9 +85,9 @@ class TestGfetch:
         )
 
     def test_alpha_is_near_zero(self):
-        result = run_once(
+        result = build_simulation(
             Gfetch.small(), MoveThresholdPolicy(threshold=4), n_processors=4
-        )
+        ).run()
         assert result.measured_alpha < 0.35  # init writes loom large at small scale
 
     def test_rejects_bad_sizes(self):
@@ -115,9 +117,9 @@ class TestIMatMult:
         assert len(entry.local_copies) == 3
 
     def test_alpha_is_high(self):
-        result = run_once(
+        result = build_simulation(
             IMatMult.small(), MoveThresholdPolicy(threshold=4), n_processors=4
-        )
+        ).run()
         assert result.measured_alpha > 0.9
 
     def test_rejects_tiny_matrices(self):
@@ -127,9 +129,9 @@ class TestIMatMult:
 
 class TestPrimes1:
     def test_stack_traffic_dominates_and_stays_local(self):
-        result = run_once(
+        result = build_simulation(
             Primes1.small(), MoveThresholdPolicy(threshold=4), n_processors=4
-        )
+        ).run()
         assert result.measured_alpha > 0.95
 
     def test_rejects_tiny_limit(self):
@@ -140,16 +142,16 @@ class TestPrimes1:
 class TestPrimes2:
     def test_privatizing_divisors_restores_alpha(self):
         """Section 4.2: alpha 0.66 -> 1.00 when divisors are privatized."""
-        shared = run_once(
+        shared = build_simulation(
             Primes2(limit=6_000, private_divisors=False),
             MoveThresholdPolicy(threshold=4),
             n_processors=4,
-        )
-        private = run_once(
+        ).run()
+        private = build_simulation(
             Primes2(limit=6_000, private_divisors=True),
             MoveThresholdPolicy(threshold=4),
             n_processors=4,
-        )
+        ).run()
         assert private.measured_alpha > shared.measured_alpha + 0.2
         assert private.measured_alpha > 0.9
         assert shared.measured_alpha < 0.8
@@ -166,15 +168,15 @@ class TestPrimes3:
         assert global_count >= len(sieve_states) - 1
 
     def test_alpha_is_low(self):
-        result = run_once(
+        result = build_simulation(
             Primes3.small(), MoveThresholdPolicy(threshold=4), n_processors=4
-        )
+        ).run()
         assert result.measured_alpha < 0.6
 
     def test_heavy_copy_traffic_before_pinning(self):
-        result = run_once(
+        result = build_simulation(
             Primes3.small(), MoveThresholdPolicy(threshold=4), n_processors=4
-        )
+        ).run()
         assert result.stats.total_page_copies() > 10
 
 
@@ -186,7 +188,9 @@ class TestFFT:
             assert all(s is PageState.LOCAL_WRITABLE for s in states)
 
     def test_alpha_is_high(self):
-        result = run_once(FFT.small(), MoveThresholdPolicy(threshold=4), n_processors=4)
+        result = build_simulation(
+            FFT.small(), MoveThresholdPolicy(threshold=4), n_processors=4
+        ).run()
         assert result.measured_alpha > 0.9
 
     def test_size_must_be_power_of_two(self):
@@ -205,14 +209,14 @@ class TestPlyTrace:
         assert all(s is PageState.READ_ONLY for s in states)
 
     def test_packed_framebuffer_hurts_alpha(self):
-        padded = run_once(
+        padded = build_simulation(
             PlyTrace(n_polygons=1200), MoveThresholdPolicy(threshold=4), n_processors=7
-        )
-        packed = run_once(
+        ).run()
+        packed = build_simulation(
             PlyTrace(n_polygons=1200, padded_framebuffer=False),
             MoveThresholdPolicy(threshold=4),
             n_processors=7,
-        )
+        ).run()
         assert packed.measured_alpha < padded.measured_alpha - 0.08
 
     def test_rejects_empty_scene(self):

@@ -7,7 +7,7 @@ from repro.core.policies import (
     AllLocalPolicy,
     MoveThresholdPolicy,
 )
-from repro.sim.harness import build_simulation, run_once
+from repro.sim.harness import build_simulation
 from repro.workloads import small_workloads
 
 WORKLOAD_ITEMS = sorted(small_workloads().items())
@@ -22,35 +22,49 @@ def workload(request):
 
 class TestEveryWorkload:
     def test_runs_clean_under_the_threshold_policy(self, workload):
-        result = run_once(workload, MoveThresholdPolicy(threshold=4), n_processors=4)
+        result = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=4
+        ).run()
         assert result.user_time_us > 0
 
     def test_runs_clean_under_all_global(self, workload):
-        result = run_once(workload, AllGlobalPolicy(), n_processors=4)
+        result = build_simulation(
+            workload, AllGlobalPolicy(), n_processors=4
+        ).run()
         assert result.user_time_us > 0
 
     def test_runs_clean_single_threaded_all_local(self, workload):
-        result = run_once(
+        result = build_simulation(
             workload, AllLocalPolicy(), n_processors=1, n_threads=1
-        )
+        ).run()
         assert result.user_time_us > 0
 
     def test_invariants_hold_at_exit(self, workload):
-        sim = build_simulation(workload, MoveThresholdPolicy(threshold=4), 4)
+        sim = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=4
+        )
         sim.engine.run(sim.threads)
         sim.numa.check_all_invariants()
 
     def test_deterministic(self, workload):
-        a = run_once(workload, MoveThresholdPolicy(threshold=4), n_processors=4)
-        b = run_once(workload, MoveThresholdPolicy(threshold=4), n_processors=4)
+        a = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=4
+        ).run()
+        b = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=4
+        ).run()
         assert a.user_time_us == b.user_time_us
         assert a.system_time_us == b.system_time_us
         assert a.stats.moves == b.stats.moves
 
     def test_build_is_pure_across_runs(self, workload):
         """Two consecutive builds must not share VM objects."""
-        sim1 = build_simulation(workload, MoveThresholdPolicy(threshold=4), 2)
-        sim2 = build_simulation(workload, MoveThresholdPolicy(threshold=4), 2)
+        sim1 = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=2
+        )
+        sim2 = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=2
+        )
         ids1 = {r.vm_object.object_id for r in sim1.space.regions}
         ids2 = {r.vm_object.object_id for r in sim2.space.regions}
         assert ids1.isdisjoint(ids2)
@@ -58,11 +72,15 @@ class TestEveryWorkload:
     def test_numa_between_local_and_global(self, workload):
         """Tlocal <= Tnuma and Tnuma <= Tglobal (within slack):
         the ordering the whole evaluation rests on."""
-        numa = run_once(workload, MoveThresholdPolicy(threshold=4), n_processors=4)
-        all_global = run_once(workload, AllGlobalPolicy(), n_processors=4)
-        local = run_once(
+        numa = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=4
+        ).run()
+        all_global = build_simulation(
+            workload, AllGlobalPolicy(), n_processors=4
+        ).run()
+        local = build_simulation(
             workload, AllLocalPolicy(), n_processors=1, n_threads=1
-        )
+        ).run()
         assert numa.user_time_us <= all_global.user_time_us * 1.02
         assert numa.user_time_us >= local.user_time_us * 0.98
 
@@ -70,7 +88,11 @@ class TestEveryWorkload:
         """Section 3.1 requires the same total work regardless of the
         number of processors; user time may differ only through placement
         (bounded by the G/L ratio), not through workload scaling."""
-        two = run_once(workload, MoveThresholdPolicy(threshold=4), n_processors=2)
-        four = run_once(workload, MoveThresholdPolicy(threshold=4), n_processors=4)
+        two = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=2
+        ).run()
+        four = build_simulation(
+            workload, MoveThresholdPolicy(threshold=4), n_processors=4
+        ).run()
         ratio = four.user_time_us / two.user_time_us
         assert 0.4 < ratio < 2.5
