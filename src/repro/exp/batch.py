@@ -259,6 +259,10 @@ def run_batch(
     Only fully declarative specs are cached — a spec that cannot be
     rebuilt from registries alone has no trustworthy identity.
 
+    Specs that share a :meth:`RunSpec.trace_key` replay one recorded op
+    stream (:mod:`repro.sim.trace`).  Traces live only for this call and
+    never reach the cache.
+
     ``policy=None`` uses the strict contract (one attempt,
     first failure raises).  A resilient policy adds retry, timeout,
     quarantine, and pool-recycle behaviour; a :class:`BatchJournal`

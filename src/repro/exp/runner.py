@@ -25,7 +25,11 @@ Scheduling details that matter for wall-clock (implemented by
   weight table — longest-processing-time order keeps the pool's tail
   short);
 * in-flight work is bounded to ``2 × jobs`` futures so a huge grid
-  neither floods the executor queue nor idles workers between waves.
+  neither floods the executor queue nor idles workers between waves;
+* specs that share a :meth:`~repro.exp.spec.RunSpec.trace_key` share
+  one op stream (:mod:`repro.sim.trace`): a serial batch records it
+  once and replays it for the rest, and a pool worker keeps its most
+  recent trace and replays it when its next spec has the same key.
 """
 
 from __future__ import annotations
@@ -35,18 +39,21 @@ from typing import Dict
 
 from repro.exp.spec import RunSpec
 
-#: Rough relative wall-clock weight per workload (measured once on the
-#: full-scale Table 3 matrix); only the *ordering* matters, for
-#: longest-first submission.  Unknown workloads sort mid-pack.
+#: Relative wall-clock weight per workload, for longest-first submission:
+#: mean live ``spec.execute()`` ms over the full-scale Table 3 matrix on a
+#: 2-CPU Linux host, Python 3.11 — Primes3 878, FFT 269, PlyTrace 157,
+#: Primes2 75, IMatMult 70, Primes1 57, Gfetch 4, ParMult 2.  Distinct
+#: weights keep a serial batch to one op trace at a time.  Unknown
+#: workloads sort mid-pack.
 WORKLOAD_WEIGHTS: Dict[str, int] = {
-    "Primes1": 100,
-    "FFT": 60,
-    "Primes3": 40,
-    "Primes2": 30,
-    "IMatMult": 20,
-    "PlyTrace": 15,
-    "Gfetch": 8,
-    "ParMult": 5,
+    "Primes3": 100,
+    "FFT": 30,
+    "PlyTrace": 18,
+    "Primes2": 9,
+    "IMatMult": 8,
+    "Primes1": 7,
+    "Gfetch": 2,
+    "ParMult": 1,
 }
 
 #: Default weight for workloads not in the table.
@@ -61,14 +68,25 @@ def spec_weight(spec: RunSpec) -> int:
     return weight
 
 
-def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
+#: A pool worker's op traces.  They must outlive one task, so they live
+#: in the worker process's module state; :func:`warm_worker`, the pool
+#: initializer, sets them, so every pool (hence every batch) starts with
+#: none.  ``None`` outside workers.
+_worker_traces = None
+
+
+def execute_payload(
+    payload: Dict[str, object], share_trace: bool = False
+) -> Dict[str, object]:
     """Worker entry point: spec key dict in, outcome dict out.
 
     Module-level (picklable) on purpose; reconstructing the spec from
     its canonical key keeps the worker independent of parent-process
-    object identity.
+    object identity.  ``share_trace`` (another spec of the batch has
+    this spec's trace key) lets a pool worker replay or record op traces.
     """
-    return RunSpec.from_key(payload).execute().as_dict()
+    traces = _worker_traces if share_trace else None
+    return RunSpec.from_key(payload).execute(traces).as_dict()
 
 
 def warm_worker() -> None:
@@ -77,11 +95,16 @@ def warm_worker() -> None:
     Under the default ``fork`` start method this is free (the parent
     already imported everything); under ``spawn`` it front-loads import
     cost into pool startup instead of the first simulation, so per-spec
-    timings stay comparable across workers.
+    timings stay comparable across workers.  It also resets the worker's
+    op-trace store.
     """
+    global _worker_traces
     import repro.faults.chaos  # noqa: F401
     import repro.sim.engine  # noqa: F401
     import repro.workloads  # noqa: F401
+    from repro.sim.trace import TraceStore
+
+    _worker_traces = TraceStore()
 
 
 def usable_cpus() -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.policies import DEFAULT_MOVE_THRESHOLD
 from repro.core.policies.registry import build_policy
@@ -38,6 +38,9 @@ from repro.sim import harness
 from repro.sim.result import RunResult
 from repro.workloads import TABLE_3_WORKLOADS
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.sim.trace import TraceStore
 
 #: Version tag folded into every fingerprint.  Bump when a change to the
 #: simulator alters what an identical spec would compute, so stale cache
@@ -272,6 +275,27 @@ class RunSpec:
             return None
         return ace_config(self.n_processors, **overrides)
 
+    def trace_key(self) -> Optional[Tuple[object, ...]]:
+        """Exactly what reaches ``Workload.build``; None: never replay.
+
+        Placement fields stay out, so a Tnuma/Tglobal pair — and every
+        entrant of a tournament — shares one op trace (DESIGN.md §16).
+        Fault-profile specs and specs that do not resolve get ``None``.
+        """
+        if self.fault_profile is not None:
+            return None
+        try:
+            name = workload_name(self.workload)
+            config = self.resolve_machine_config() or ace_config(
+                self.n_processors
+            )
+        except ConfigurationError:
+            return None
+        n_cpus = config.n_processors
+        threads = n_cpus if self.n_threads is None else self.n_threads
+        return (name, self.workload_params, self.quick, n_cpus, threads,
+                config.page_size_words)
+
     def is_declarative(self) -> bool:
         """Whether the spec resolves from registries alone (cacheable)."""
         try:
@@ -300,7 +324,7 @@ class RunSpec:
         """Build, execute and collect one run."""
         return self.build().run()
 
-    def execute(self) -> "Outcome":
+    def execute(self, traces: Optional["TraceStore"] = None) -> "Outcome":
         """Run the spec purely from its declarative fields.
 
         This is what cache misses and pool workers execute: the result
@@ -308,7 +332,10 @@ class RunSpec:
         under the chaos harness (sanitizer attached, recovery ledger
         collected) and yield a
         :class:`~repro.faults.chaos.ChaosReport`; plain specs yield a
-        :class:`~repro.sim.result.RunResult`.
+        :class:`~repro.sim.result.RunResult`.  With a batch's
+        :class:`~repro.sim.trace.TraceStore`, a plain spec replays the
+        op trace of its :meth:`trace_key` or records one for later
+        specs; the result is bit-identical either way.
         """
         if self.fault_profile is not None:
             from repro.faults.chaos import run_chaos  # deferred: no cycle
@@ -322,7 +349,22 @@ class RunSpec:
                 machine_config=self.resolve_machine_config(),
             )
             return Outcome(chaos=report)
-        return Outcome(result=self.run())
+        if traces is None:
+            return Outcome(result=self.run())
+        from repro.sim.trace import TraceRecorder  # deferred: batch-only
+
+        key = self.trace_key()
+        trace = traces.get(key)
+        sim = self.build()
+        recorder = None
+        if trace is not None:
+            trace.replay(sim)
+        elif traces.wants(key):
+            recorder = TraceRecorder(sim)
+        result = sim.run()
+        if recorder is not None:
+            traces.add(key, recorder.trace())
+        return Outcome(result=result)
 
 
 @dataclass(frozen=True)

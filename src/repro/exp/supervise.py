@@ -42,6 +42,7 @@ import os
 import random
 import signal
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -181,7 +182,9 @@ class _Flight:
 
 
 def execute_supervised(
-    payload: Dict[str, object], action: Optional[Dict[str, object]] = None
+    payload: Dict[str, object],
+    action: Optional[Dict[str, object]] = None,
+    share_trace: bool = False,
 ) -> Dict[str, object]:
     """Worker entry point with an optional chaos *action* to suffer first.
 
@@ -189,7 +192,8 @@ def execute_supervised(
     broken pool); ``{"hang_s": x}`` sleeps *x* host seconds before
     executing (the parent sees a hung worker if *x* exceeds its
     timeout).  The decision is made — deterministically — in the parent;
-    the worker just obeys.
+    the worker just obeys.  ``share_trace``: see
+    :func:`~repro.exp.runner.execute_payload`.
     """
     from repro.exp.runner import execute_payload
 
@@ -199,7 +203,7 @@ def execute_supervised(
         hang_s = action.get("hang_s")
         if hang_s:
             time.sleep(float(hang_s))
-    return execute_payload(payload)
+    return execute_payload(payload, share_trace)
 
 
 class SupervisedRunner:
@@ -362,9 +366,14 @@ class SupervisedRunner:
 
         Chaos worker actions cannot kill the orchestrator, so in serial
         mode they surface as :class:`HarnessChaosError` failures — the
-        retry path is exercised identically, deterministically.
+        retry path is exercised identically, deterministically.  One
+        :class:`~repro.sim.trace.TraceStore` serves the whole list.
         """
-        for fp, spec in todo:
+        from repro.sim.trace import TraceStore  # deferred: batch-only
+
+        keys = [spec.trace_key() for _, spec in todo]
+        traces = TraceStore(keys)
+        for (fp, spec), key in zip(todo, keys):
             while True:
                 attempt = self._attempts.get(fp, 0) + 1
                 self._journal_spec("submitted", fp, attempt=attempt)
@@ -375,7 +384,7 @@ class SupervisedRunner:
                         raise HarnessChaosError(
                             f"harness chaos: worker {kind} (serial)"
                         )
-                    outcome = spec.execute()
+                    outcome = spec.execute(traces)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as error:  # noqa: BLE001 - supervised
@@ -390,6 +399,7 @@ class SupervisedRunner:
                 outcomes[fp] = outcome
                 on_result(spec, outcome)
                 break
+            traces.done(key)
 
     # -- pool path -----------------------------------------------------------
 
@@ -470,6 +480,9 @@ class SupervisedRunner:
         quarantined: Dict[str, str],
     ) -> None:
         spec_by_fp = {fp: spec for fp, spec in todo}
+        # Only specs that share a trace key with another spec record.
+        keys = {fp: spec.trace_key() for fp, spec in todo}
+        counts = Counter(key for key in keys.values() if key is not None)
         pending: List[Tuple[str, RunSpec]] = list(reversed(list(todo)))
         retry_heap: List[Tuple[float, str]] = []  # (wake time, fingerprint)
         inflight: Dict[Future, _Flight] = {}
@@ -493,7 +506,8 @@ class SupervisedRunner:
                     )
                     try:
                         future = pool.submit(
-                            execute_supervised, spec.key(), action
+                            execute_supervised, spec.key(), action,
+                            counts[keys[fp]] > 1,
                         )
                     except BrokenProcessPool:
                         # The pool died between waits; the flights that

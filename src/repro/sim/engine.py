@@ -7,6 +7,11 @@ applications the paper chose, while ownership ping-pong (which the policy
 counts) still happens at a realistic rate because writers genuinely
 alternate.
 
+Ops reach the engine encoded (:func:`repro.sim.ops.encode`) — live from
+the workload's generator, or replayed by :mod:`repro.sim.trace` — and
+:meth:`Engine._execute` dispatches once on the opcode.  Pull order depends
+only on the kinds of ops pulled, never on placement, so replay is exact.
+
 Memory references are split into a fast path and a slow path, mirroring
 the paper's premise that the common case — a reference hitting an
 already-placed page — must be cheap.  The fast path resolves a whole
@@ -36,7 +41,7 @@ from __future__ import annotations
 # repro-lint: allow-file[no-wall-clock] -- perf_counter feeds the
 # PhaseProfiler's self-timing only; it never charges simulated time.
 from time import perf_counter
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
 from repro.core.state import AccessKind
 from repro.errors import FaultResolutionError, SimulationError
@@ -47,11 +52,12 @@ from repro.machine.protection import PROT_READ, PROT_READ_WRITE
 from repro.machine.timing import MemoryLocation
 from repro.obs.events import EventBus
 from repro.obs.profiling import PhaseProfiler
-from repro.sim.ops import Barrier, Compute, FreeObjectPages, MemBlock, Op, Syscall
+from repro.sim.ops import BARRIER, COMPUTE, MEM, SYSCALL, EncodedOp, Syscall, encode
 from repro.threads.cthreads import CThread, ThreadState
 from repro.threads.scheduler import Scheduler
 from repro.threads.unix_master import UnixMaster
 from repro.vm.fault import FaultHandler
+from repro.vm.vm_object import VMObject
 
 #: How many times the fault handler may run for one access before the
 #: engine declares the protocol livelocked.  Two attempts cover the
@@ -59,6 +65,13 @@ from repro.vm.fault import FaultHandler
 #: upgrade); the third is headroom for an injected invalidation landing
 #: between them.
 MAX_FAULT_RESOLUTION_ATTEMPTS = 3
+
+
+def _encoded(thread: CThread) -> Iterator[EncodedOp]:
+    """*thread*'s body, encoded op by op as the engine pulls it."""
+    next_op = thread.next_op
+    while (op := next_op()) is not None:
+        yield encode(op)
 
 
 class EngineObserver(Protocol):
@@ -182,23 +195,26 @@ class Engine:
         if not threads:
             self._bus.emit_run_end(self._round)
             return 0
-        # The loop body runs once per thread per round; enum members and
-        # bound methods are hoisted to locals to keep that overhead off
-        # the fast path's back.
+        # The loop body runs once per thread per round; enum members,
+        # bound methods and the round hook's flag are hoisted to locals
+        # to keep that overhead off the fast path's back.
         runnable = ThreadState.RUNNABLE
         finished = ThreadState.FINISHED
         cpu_for = self._scheduler.cpu_for
         execute = self._execute
-        while True:
-            if all(t.state is finished for t in threads):
-                break
+        wants_rounds = self._bus.wants_rounds
+        pairs = [(t, t.stream or _encoded(t)) for t in threads]
+        live = sum(1 for thread in threads if thread.state is not finished)
+        while live:
             progressed = False
-            for thread in threads:
+            for thread, stream in pairs:
                 if thread.state is not runnable:
                     continue
                 cpu = cpu_for(thread, self._round)
-                op = thread.next_op()
+                op = next(stream, None)
                 if op is None:
+                    thread.state = finished
+                    live -= 1
                     # Finishing can release a barrier the rest are at.
                     if self._release_barriers(threads):
                         progressed = True
@@ -206,18 +222,15 @@ class Engine:
                 execute(thread, cpu, op)
                 progressed = True
             self._round += 1
-            if self._bus.wants_rounds:
+            if wants_rounds:
                 self._bus.emit_round_end(self._round - 1)
             if not progressed:
                 if self._release_barriers(threads):
                     continue
-                if any(
-                    t.state is ThreadState.RUNNABLE and not t.finished
-                    for t in threads
-                ):
-                    continue
-                if not any(not t.finished for t in threads):
+                if not live:
                     break
+                if any(t.state is runnable for t in threads):
+                    continue
                 waiting = sorted(
                     {t.waiting_on for t in threads if t.waiting_on}
                 )
@@ -229,24 +242,22 @@ class Engine:
 
     # -- op execution ------------------------------------------------------
 
-    def _execute(self, thread: CThread, cpu: int, op: Op) -> None:
+    def _execute(self, thread: CThread, cpu: int, op: EncodedOp) -> None:
+        code, operand, reads, writes = op
         task = thread.task
-        if isinstance(op, MemBlock):
-            self._mem_block(cpu, op, task)
-        elif isinstance(op, Compute):
-            us = op.us
-            self._cpus[cpu].charge_user(us)
+        if code == MEM:
+            self._mem_block(cpu, operand, reads, writes, task)
+        elif code == COMPUTE:
+            self._cpus[cpu].charge_user(operand)
             task_us = self.task_user_us
-            task_us[task] = task_us.get(task, 0.0) + us
-        elif isinstance(op, Barrier):
+            task_us[task] = task_us.get(task, 0.0) + operand
+        elif code == BARRIER:
             thread.state = ThreadState.WAITING
-            thread.waiting_on = op.name
-        elif isinstance(op, Syscall):
-            self._syscall(op, task)
-        elif isinstance(op, FreeObjectPages):
-            self._free_object(cpu, op, task)
+            thread.waiting_on = operand
+        elif code == SYSCALL:
+            self._syscall(operand, task)
         else:
-            raise SimulationError(f"unknown operation {op!r}")
+            self._free_object(cpu, operand, task)
         self.ops_executed += 1
         self._ops_since_tick += 1
         if self._pump_pending:
@@ -274,12 +285,11 @@ class Engine:
             if profiler is not None:
                 profiler.add("policy_tick", perf_counter() - started)
 
-    def _mem_block(self, cpu: int, op: MemBlock, task: int = 0) -> None:
+    def _mem_block(
+        self, cpu: int, vpage: int, reads: int, writes: int, task: int = 0
+    ) -> None:
         profiler = self._profiler
         started = perf_counter() if profiler is not None else 0.0
-        vpage = op.vpage
-        reads = op.reads
-        writes = op.writes
         if self._fast_path:
             cpu_obj = self._cpus[cpu]
             entry = cpu_obj.tlb.lookup(vpage, writes > 0)
@@ -355,9 +365,8 @@ class Engine:
                 )
                 self._machine.cpu(master).charge_system(cost)
 
-    def _free_object(self, cpu: int, op: FreeObjectPages, task: int = 0) -> None:
+    def _free_object(self, cpu: int, vm_object: VMObject, task: int = 0) -> None:
         pool = self._handlers[task].pool
-        vm_object = op.vm_object
         for offset in list(vm_object.resident.keys()):
             page = vm_object.resident_page(offset)
             if page is not None:

@@ -2,9 +2,10 @@
 
 Workload threads are Python generators that yield these value objects;
 the engine executes each one against the machine, charging time and
-driving faults.  Reference *blocks* rather than single references keep the
-event count tractable while preserving exact per-word costs (DESIGN.md
-§5.1).
+driving faults, in the form :func:`encode` gives it (the form
+:mod:`repro.sim.trace` records and replays).  Reference *blocks* rather
+than single references keep the event count tractable while preserving
+exact per-word costs (DESIGN.md §5.1).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+from repro.errors import SimulationError
 from repro.vm.vm_object import VMObject
 
 
@@ -90,3 +92,26 @@ class FreeObjectPages:
 
 
 Op = Union[Compute, MemBlock, Barrier, Syscall, FreeObjectPages]
+
+
+#: Opcodes of the encoded form: ``(MEM, vpage, reads, writes)``, or any
+#: other kind's one payload (µs, barrier name, Syscall, VM object to free)
+#: as the operand with zero reads and writes.
+MEM, COMPUTE, BARRIER, SYSCALL, FREE = range(5)
+
+EncodedOp = Tuple[int, object, int, int]
+
+
+def encode(op: Op) -> EncodedOp:
+    """The ``(opcode, operand, reads, writes)`` form the engine executes."""
+    if isinstance(op, MemBlock):
+        return (MEM, op.vpage, op.reads, op.writes)
+    if isinstance(op, Compute):
+        return (COMPUTE, op.us, 0, 0)
+    if isinstance(op, Barrier):
+        return (BARRIER, op.name, 0, 0)
+    if isinstance(op, Syscall):
+        return (SYSCALL, op, 0, 0)
+    if isinstance(op, FreeObjectPages):
+        return (FREE, op.vm_object, 0, 0)
+    raise SimulationError(f"unknown operation {op!r}")

@@ -2,7 +2,8 @@
 
 The Mach C-Threads package gives a parallel program "a single, uniform
 memory" — all threads share one task.  A simulated thread is a name plus a
-generator of operations; the engine interleaves the generators.
+generator of operations; the engine interleaves the generators, or the
+thread's recorded stream when :mod:`repro.sim.trace` replays one.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.sim.ops import Op
+from repro.sim.ops import EncodedOp, Op
 
 
 class ThreadState(enum.Enum):
@@ -32,13 +33,17 @@ class CThread:
     state: ThreadState = ThreadState.RUNNABLE
     #: Barrier the thread is parked at, when WAITING.
     waiting_on: Optional[str] = None
-    #: Operations executed so far (for progress reporting).
+    #: Operations pulled from ``body`` so far (a replayed thread pulls
+    #: none; the engine's ``ops_executed`` counts every op).
     ops_executed: int = 0
     #: The Mach task (address space) this thread belongs to.  All the
     #: paper's applications are single-task; multiprogrammed mixes (the
     #: introduction's "locality needs of the entire application mix")
     #: give each application its own task id.
     task: int = 0
+    #: Encoded ops to pull instead of encoding ``body`` live: a replayed
+    #: or recording stream (:mod:`repro.sim.trace`).
+    stream: Optional[Iterator[EncodedOp]] = field(default=None, repr=False)
 
     def next_op(self) -> Optional[Op]:
         """Advance the body one step; ``None`` means the thread finished."""

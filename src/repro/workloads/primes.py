@@ -29,7 +29,10 @@ division counts are computed exactly for the scaled problem.
 from __future__ import annotations
 
 import math
-from typing import List
+from array import array
+from bisect import bisect_left
+from itertools import compress
+from typing import List, Tuple
 
 from repro.sim.ops import Barrier, Compute, MemBlock
 from repro.workloads.base import BuildContext, ThreadBody, Workload
@@ -69,25 +72,69 @@ OUT_BLOCK_WORDS = 32
 CHUNK_CANDIDATES = 64
 
 
+def _odd_sieve(limit: int) -> bytearray:
+    """Flags ``f`` with ``f[i] == 1`` exactly when ``2*i + 1`` is a prime
+    below *limit* (``limit >= 3``)."""
+    flags = bytearray([1]) * (limit // 2)
+    flags[0] = 0
+    for value in range(3, math.isqrt(limit - 1) + 1, 2):
+        if flags[value // 2]:
+            start = value * value // 2
+            flags[start::value] = bytes(len(range(start, len(flags), value)))
+    return flags
+
+
 def primes_below(limit: int) -> List[int]:
     """All primes below *limit* (used to size output vectors exactly)."""
     if limit < 3:
         return []
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
-    for value in range(2, int(math.isqrt(limit - 1)) + 1):
-        if sieve[value]:
-            sieve[value * value :: value] = bytearray(
-                len(range(value * value, limit, value))
-            )
-    return [i for i, flag in enumerate(sieve) if flag]
+    return [2, *compress(range(1, limit, 2), _odd_sieve(limit))]
+
+
+def division_counts(limit: int, by_primes: bool = False) -> List[int]:
+    """Trial divisions for each odd candidate 3, 5, 7, ... below *limit*.
+
+    The closed form of :func:`trial_divisions_all_odds` (Primes1) and,
+    ``by_primes``, :func:`trial_divisions_primes` (Primes2).  Both stop
+    at the first divisor that divides — the candidate's smallest odd
+    prime factor ``s`` — or past ``isqrt(candidate)``, so the count is
+    the divisors tried in ``[3, s]`` for a composite and in ``[3, root]``
+    for a prime: ``(x - 1) // 2`` odd numbers, or the odd primes ≤ x.
+    """
+    root = math.isqrt(max(0, limit - 1))
+    odd_primes = primes_below(root + 1)[1:]
+    # Sieving by descending primes leaves each odd composite holding its
+    # smallest odd prime factor; primes (and 1) keep 0.
+    factor = array("I", bytes(4 * max(0, limit)))
+    for p in reversed(odd_primes):
+        step = 2 * p
+        factor[p * p :: step] = array("I", [p]) * len(range(p * p, limit, step))
+    if by_primes:
+        tried = [bisect_left(odd_primes, x + 1) for x in range(root + 1)]
+    else:
+        tried = [max(0, (x - 1) // 2) for x in range(root + 1)]
+    isqrt = math.isqrt
+    return [tried[factor[c] or isqrt(c)] for c in range(3, limit, 2)]
+
+
+def _chunk_stats(
+    counts: List[int], found: List[int], chunk_index: int
+) -> Tuple[int, int, int]:
+    """(divisions, most on one candidate, primes found) for one chunk."""
+    first = chunk_index * CHUNK_CANDIDATES
+    here = counts[first : first + CHUNK_CANDIDATES]
+    low = 3 + 2 * first
+    high = low + 2 * len(here)
+    primes_found = bisect_left(found, high) - bisect_left(found, low)
+    return sum(here), max(here), primes_found
 
 
 def trial_divisions_all_odds(candidate: int) -> int:
     """Divisions Primes1 performs for one odd candidate.
 
     Divides by 3, 5, 7, ... up to √candidate, stopping at the first
-    divisor that divides evenly (composites exit early).
+    divisor that divides evenly (composites exit early).  The reference
+    oracle for :func:`division_counts`.
     """
     count = 0
     divisor = 3
@@ -101,7 +148,10 @@ def trial_divisions_all_odds(candidate: int) -> int:
 
 
 def trial_divisions_primes(candidate: int, primes: List[int]) -> int:
-    """Divisions Primes2 performs: previously found odd primes up to √c."""
+    """Divisions Primes2 performs: previously found odd primes up to √c.
+
+    The reference oracle for ``division_counts(..., by_primes=True)``.
+    """
     count = 0
     root = math.isqrt(candidate)
     for p in primes:
@@ -115,10 +165,9 @@ def trial_divisions_primes(candidate: int, primes: List[int]) -> int:
     return count
 
 
-class Primes1(Workload):
-    """Trial division by all odd numbers (Beck & Olien structure)."""
+class _TrialDivision(Workload):
+    """Primes1/Primes2: threads claim chunks of odd candidates to divide."""
 
-    name = "Primes1"
     g_over_l = 2.0
 
     def __init__(self, limit: int = 200_000) -> None:
@@ -127,9 +176,15 @@ class Primes1(Workload):
         self.limit = limit
 
     @classmethod
-    def small(cls) -> "Primes1":
+    def small(cls) -> "_TrialDivision":
         """A fast-test instance."""
         return cls(limit=4_000)
+
+
+class Primes1(_TrialDivision):
+    """Trial division by all odd numbers (Beck & Olien structure)."""
+
+    name = "Primes1"
 
     def build(self, ctx: BuildContext) -> List[ThreadBody]:
         layout = LayoutBuilder(ctx)
@@ -140,24 +195,16 @@ class Primes1(Workload):
         output = layout.shared("primes.output", words=max(4, len(found)))
         stacks = [layout.stack(t) for t in range(ctx.n_threads)]
 
-        candidates = list(range(3, self.limit, 2))
-        chunks = [
-            candidates[i : i + CHUNK_CANDIDATES]
-            for i in range(0, len(candidates), CHUNK_CANDIDATES)
-        ]
-        prime_set = set(found)
+        counts = division_counts(self.limit)
+        n_chunks = -(-len(counts) // CHUNK_CANDIDATES)
 
         def body(thread: int) -> ThreadBody:
             stack_page = stacks[thread].vpage_at(0)
-            out_index = 0
-            for chunk_index in range(thread, len(chunks), ctx.n_threads):
+            for chunk_index in range(thread, n_chunks, ctx.n_threads):
                 yield MemBlock(counter_page, reads=1, writes=1)
-                divisions = 0
-                primes_found = 0
-                for candidate in chunks[chunk_index]:
-                    divisions += trial_divisions_all_odds(candidate)
-                    if candidate in prime_set:
-                        primes_found += 1
+                divisions, _, primes_found = _chunk_stats(
+                    counts, found, chunk_index
+                )
                 if divisions:
                     yield Compute(divisions * DIV1_US)
                     yield MemBlock(
@@ -174,12 +221,11 @@ class Primes1(Workload):
                         reads=0,
                         writes=primes_found,
                     )
-                out_index += primes_found
 
         return [body(t) for t in range(ctx.n_threads)]
 
 
-class Primes2(Workload):
+class Primes2(_TrialDivision):
     """Trial division by previously found primes; divisors privatized.
 
     ``private_divisors=False`` gives the untuned variant of Section 4.2:
@@ -188,22 +234,14 @@ class Primes2(Workload):
     """
 
     name = "Primes2"
-    g_over_l = 2.0
 
     def __init__(
         self, limit: int = 200_000, private_divisors: bool = True
     ) -> None:
-        if limit < 10:
-            raise ValueError("limit must be at least 10")
-        self.limit = limit
+        super().__init__(limit)
         self.private_divisors = private_divisors
         if not private_divisors:
             self.name = "Primes2-shared"
-
-    @classmethod
-    def small(cls) -> "Primes2":
-        """A fast-test instance."""
-        return cls(limit=4_000)
 
     def build(self, ctx: BuildContext) -> List[ThreadBody]:
         layout = LayoutBuilder(ctx)
@@ -218,27 +256,17 @@ class Primes2(Workload):
             for t in range(ctx.n_threads)
         ]
 
-        candidates = list(range(3, self.limit, 2))
-        chunks = [
-            candidates[i : i + CHUNK_CANDIDATES]
-            for i in range(0, len(candidates), CHUNK_CANDIDATES)
-        ]
-        prime_set = set(found)
+        counts = division_counts(self.limit, by_primes=True)
+        n_chunks = -(-len(counts) // CHUNK_CANDIDATES)
 
         def body(thread: int) -> ThreadBody:
             stack_page = stacks[thread].vpage_at(0)
             copied = 0  # divisors copied into the private vector so far
-            for chunk_index in range(thread, len(chunks), ctx.n_threads):
+            for chunk_index in range(thread, n_chunks, ctx.n_threads):
                 yield MemBlock(counter_page, reads=1, writes=1)
-                divisions = 0
-                primes_found = 0
-                max_divisor_index = 0
-                for candidate in chunks[chunk_index]:
-                    d = trial_divisions_primes(candidate, found)
-                    divisions += d
-                    max_divisor_index = max(max_divisor_index, d)
-                    if candidate in prime_set:
-                        primes_found += 1
+                divisions, max_divisor_index, primes_found = _chunk_stats(
+                    counts, found, chunk_index
+                )
                 if divisions == 0:
                     continue
                 yield Compute(divisions * DIV2_US)
@@ -338,15 +366,17 @@ class Primes3(Workload):
         sieve = layout.shared("sieve.bits", words=sieve_words, pragma=pragma)
         counter = layout.shared("work.counter", words=4)
         counter_page = counter.vpage_at(0)
-        found = primes_below(self.limit)
+        # Only the count of primes outlives the build; the generators
+        # must not pin a list of every prime for the whole run.
+        n_found = 1 + _odd_sieve(self.limit).count(1)
         output = layout.shared(
-            "primes.output", words=max(4, len(found)), pragma=pragma
+            "primes.output", words=max(4, n_found), pragma=pragma
         )
         stacks = [layout.stack(t) for t in range(ctx.n_threads)]
 
         # Masking work: one task per sieving prime p <= sqrt(limit).
         root = math.isqrt(self.limit)
-        sieving_primes = [p for p in found if p != 2 and p <= root]
+        sieving_primes = primes_below(root + 1)[1:]
         sieve_pages = sieve.n_pages
 
         def mask_ops(thread: int) -> ThreadBody:
@@ -396,7 +426,7 @@ class Primes3(Workload):
             stack_page = stacks[thread].vpage_at(0)
             stack_frac = FractionalRefs()
             out_frac = FractionalRefs()
-            density = len(found) / max(1, sieve_words)
+            density = n_found / max(1, sieve_words)
             for page_index in range(thread, sieve_pages, ctx.n_threads):
                 words_here = min(
                     page_words, sieve_words - page_index * page_words
@@ -418,9 +448,9 @@ class Primes3(Workload):
                     # it.  Interleaved claims from different threads put
                     # alternating writers on each output page.
                     yield MemBlock(counter_page, reads=1, writes=1)
-                    out_word = min(output_tail[0], max(0, len(found) - 1))
+                    out_word = min(output_tail[0], max(0, n_found - 1))
                     output_tail[0] = (output_tail[0] + block) % max(
-                        1, len(found)
+                        1, n_found
                     )
                     yield MemBlock(
                         layout.page_of_word(output, out_word),

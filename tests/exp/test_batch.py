@@ -224,11 +224,11 @@ class TestSupervisedBatch:
         calls = {"n": 0}
         original = RunSpec.execute
 
-        def interrupting(self):
+        def interrupting(self, *args):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt()
-            return original(self)
+            return original(self, *args)
 
         monkeypatch.setattr(RunSpec, "execute", interrupting)
         with pytest.raises(KeyboardInterrupt):

@@ -279,7 +279,7 @@ class TestSimulatingCommandsShareTheCache:
         assert main(argv) == 0
         cold = capsys.readouterr().out
 
-        def refuse(spec):
+        def refuse(spec, *args):
             raise AssertionError(f"{spec.label} simulated on a warm cache")
 
         monkeypatch.setattr(RunSpec, "execute", refuse)

@@ -14,6 +14,7 @@ from repro.workloads.primes import (
     Primes1,
     Primes2,
     Primes3,
+    division_counts,
     primes_below,
     trial_divisions_all_odds,
     trial_divisions_primes,
@@ -62,6 +63,25 @@ class TestPrimesHelpers:
         # 121 = 11^2: tries 3,5,7,11 -> 4 (odds would try 9 too -> 5).
         assert trial_divisions_primes(121, primes) == 4
         assert trial_divisions_all_odds(121) == 5
+
+    def test_primes_below_matches_trial_division(self):
+        expected = [
+            n for n in range(2, 2_000)
+            if all(n % d for d in range(2, int(n ** 0.5) + 1))
+        ]
+        assert primes_below(2_000) == expected
+        assert primes_below(3) == [2]
+
+    @pytest.mark.parametrize("limit", [10, 11, 50, 4_000, 4_001, 200_000])
+    def test_closed_form_matches_the_oracles_on_every_candidate(self, limit):
+        candidates = range(3, limit, 2)
+        primes = primes_below(limit)
+        assert division_counts(limit) == [
+            trial_divisions_all_odds(c) for c in candidates
+        ]
+        assert division_counts(limit, by_primes=True) == [
+            trial_divisions_primes(c, primes) for c in candidates
+        ]
 
 
 class TestParMult:
